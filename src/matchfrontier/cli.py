@@ -250,6 +250,10 @@ def _sweep_train_one(task):
     return ckpt_path
 
 
+# exit code of a sweep that wrote frontier.csv without some lambda points
+SWEEP_POINTS_FAILED = 4
+
+
 def cmd_sweep(args) -> int:
     settings = resolve_settings(args)
     lambdas = [float(x) for x in args.lambdas.split(",") if x.strip() != ""]
@@ -307,6 +311,7 @@ def cmd_sweep(args) -> int:
     print(f"wrote {frontier_csv}")
     if failures:
         print(f"{len(failures)} lambda runs failed", file=sys.stderr)
+        return SWEEP_POINTS_FAILED
     return 0
 
 

@@ -8,6 +8,8 @@ and combined with an elementwise min.
 """
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -83,38 +85,48 @@ def build_mask(profile: PreferenceProfile) -> np.ndarray:
     return beta
 
 
-def softplus(x: np.ndarray) -> np.ndarray:
-    # overflow-safe: ln(1 + e^x) = max(x, 0) + ln(1 + e^-|x|)
-    return np.logaddexp(0.0, x)
-
-
-def leaky_relu(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0.0, x, LEAKY_SLOPE * x)
-
-
 def forward_batch(params, dims: NetworkDims, x: np.ndarray, beta: np.ndarray
                   ) -> np.ndarray:
     """Batched forward pass: x is (B, 2nm), beta is (B, n+1, m+1); returns
     marginal matrices (B, n, m)."""
     n, m = dims.n, dims.m
     h = x
-    for layer, (weight, bias) in enumerate(params[:-1]):
-        h = leaky_relu(h @ weight.T + bias)
-        if not np.all(np.isfinite(h)):
-            raise NumericOverflowError(layer)
+    for weight, bias in params[:-1]:
+        h = h @ weight.T
+        h += bias
+        # leaky ReLU; bitwise equal to where(h > 0, h, slope * h), signed
+        # zeros and NaN included
+        h = np.maximum(h, LEAKY_SLOPE * h)
     weight, bias = params[-1]
-    out = h @ weight.T + bias
-    if not np.all(np.isfinite(out)):
-        raise NumericOverflowError(len(params) - 1)
+    out = h @ weight.T
+    out += bias
+    # a non-finite activation in any layer reaches every output of its row
+    # as inf or NaN, so one check here covers the hidden layers too
+    if not np.isfinite(out).all():
+        raise NumericOverflowError(_first_nonfinite_layer(params, x))
 
     split = (n + 1) * m
-    s = out[:, :split].reshape(-1, n + 1, m)
-    s2 = out[:, split:].reshape(-1, n, m + 1)
-    sbar = beta[:, :, :m] * softplus(s)
-    sbar2 = beta[:, :n, :] * softplus(s2)
-    shat = sbar / sbar.sum(axis=1, keepdims=True)
-    shat2 = sbar2 / sbar2.sum(axis=2, keepdims=True)
+    # softplus in place, overflow-safe: ln(1 + e^x) = max(x, 0) + ln(1 + e^-|x|)
+    np.logaddexp(0.0, out, out=out)
+    shat = out[:, :split].reshape(-1, n + 1, m)
+    shat2 = out[:, split:].reshape(-1, n, m + 1)
+    shat *= beta[:, :, :m]
+    shat2 *= beta[:, :n, :]
+    shat /= shat.sum(axis=1, keepdims=True)
+    shat2 /= shat2.sum(axis=2, keepdims=True)
     return np.minimum(shat[:, :n, :], shat2[:, :, :m])
+
+
+def _first_nonfinite_layer(params, x: np.ndarray) -> int:
+    """Index of the first layer whose activation is not finite: the cold
+    path of forward_batch's single check on the output."""
+    h = x
+    for layer, (weight, bias) in enumerate(params[:-1]):
+        h = h @ weight.T + bias
+        if not np.isfinite(h).all():
+            return layer
+        h = np.maximum(h, LEAKY_SLOPE * h)
+    return len(params) - 1
 
 
 def forward(params, dims: NetworkDims, enc: EncodedProfile, beta: np.ndarray
@@ -162,13 +174,26 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, params, dims: NetworkDims, lam: float, seed: int) -> None:
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<IIIIIIQ", CHECKPOINT_VERSION, dims.n, dims.m,
-                             dims.R, dims.J, round(lam * 1e6), seed))
-        for weight, bias in params:
-            fh.write(weight.astype("<f4").tobytes())
-            fh.write(bias.astype("<f4").tobytes())
+    """Atomic: the checkpoint goes to a temporary file in the same directory
+    that replaces `path` only once fully written, so a failed write leaves
+    the previous checkpoint in place."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<IIIIIIQ", CHECKPOINT_VERSION, dims.n, dims.m,
+                                 dims.R, dims.J, round(lam * 1e6), seed))
+            for weight, bias in params:
+                fh.write(weight.astype("<f4").tobytes())
+                fh.write(bias.astype("<f4").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path):

@@ -17,16 +17,18 @@ import numpy as np
 
 from . import autodiff, net
 from .autodiff import NumericError, OptimizerState, Tape, adam_step, backward, lr_schedule
-from .net import NetworkDims, NumericOverflowError, build_mask, init_params
-from .prefs import (AgentId, DistributionConfig, PreferenceOrder,
-                    PreferenceProfile, Side, encode, encode_order,
+from .net import NetworkDims, NumericOverflowError, init_params
+from .prefs import (BOTTOM, AgentId, DistributionConfig, PreferenceOrder,
+                    PreferenceProfile, Side, encode_order,
                     enumerate_misreports, profile_stream, sample_profile,
                     sample_profiles)
 
 TRAIN_LANE = 1
 HELDOUT_LANE = 2
 
-_FORWARD_CHUNK = 16384
+# rows per forward call: one chunk's activations stay in cache (1 MB at
+# J=64, 4 MB at J=256); the outputs do not depend on it
+_FORWARD_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,18 @@ def _misreport_table(side: Side, size: int, cap: int) -> _MisreportTable:
     return _MisreportTable(tuple(orders), rows, acc)
 
 
+def _rank_arrays(orders, size: int):
+    """One pass over each order's ranking: rank[i, x] is partner x's
+    position in order i (BOTTOM counted), cut[i] the position of BOTTOM."""
+    rankings = np.array([order.ranking for order in orders],
+                        dtype=np.int64).reshape(len(orders), size + 1)
+    position = np.argsort(rankings, axis=1)  # position[i, x + 1] of value x
+    if not np.array_equal(np.take_along_axis(rankings, position, axis=1),
+                          np.broadcast_to(np.arange(BOTTOM, size), rankings.shape)):
+        raise ValueError("ranking is not a permutation of partners + BOTTOM")
+    return position[:, 1:], position[:, 0]
+
+
 class _Batch:
     """Dense arrays for one batch of profiles plus threshold indicators.
 
@@ -87,28 +101,29 @@ class _Batch:
         A = n + m
         TH = max(n, m)
         self.profiles = profiles
-        self.P = np.empty((B, n, m))
-        self.Q = np.empty((B, n, m))
-        self.beta = np.empty((B, n + 1, m + 1))
+        rank_w, cut_w = _rank_arrays([o for p in profiles for o in p.workers], m)
+        rank_f, cut_f = _rank_arrays([o for p in profiles for o in p.firms], n)
+        rank_w, cut_w = rank_w.reshape(B, n, m), cut_w.reshape(B, n, 1)
+        rank_f, cut_f = rank_f.reshape(B, m, n), cut_f.reshape(B, m, 1)
+        # encode_order's (size - t - u) / size, with t the partner's position
+        # among real partners and u = size - cut, is (cut - rank) / size
+        self.P = (cut_w - rank_w) / m
+        self.Q = np.ascontiguousarray(((cut_f - rank_f) / n).transpose(0, 2, 1))
+        self.beta = np.ones((B, n + 1, m + 1))
+        self.beta[:, :n, :m] = (self.P > 0.0) & (self.Q > 0.0)
+        # the threshold at slot t < cut is the partner ranked t; the prefix
+        # set up to it is every partner ranked at or above t
+        slots = np.arange(TH)
+        valid_w = slots < cut_w                          # (B, n, TH)
+        valid_f = slots < cut_f                          # (B, m, TH)
+        ind_w = (rank_w[:, :, None, :] <= slots[:, None]) & valid_w[..., None]
+        ind_f = (rank_f[:, :, None, :] <= slots[:, None]) & valid_f[..., None]
         self.ind = np.zeros((B, A, TH, n, m))      # prefix-set indicators
-        self.thr_valid = np.zeros((B, A, TH), dtype=bool)
-        for b, profile in enumerate(profiles):
-            enc = encode(profile)
-            self.P[b] = enc.p
-            self.Q[b] = enc.q
-            self.beta[b] = build_mask(profile)
-            for w, order in enumerate(profile.workers):
-                for t, threshold in enumerate(order.acceptable()):
-                    for f in range(m):
-                        if f == threshold or order.prefers(f, threshold):
-                            self.ind[b, w, t, w, f] = 1.0
-                    self.thr_valid[b, w, t] = True
-            for f, order in enumerate(profile.firms):
-                for t, threshold in enumerate(order.acceptable()):
-                    for w in range(n):
-                        if w == threshold or order.prefers(w, threshold):
-                            self.ind[b, n + f, t, w, f] = 1.0
-                    self.thr_valid[b, n + f, t] = True
+        workers, firms = np.arange(n), np.arange(m)
+        # the two advanced indices are split by a slice, so their axis leads
+        self.ind[:, workers, :, workers, :] = ind_w.transpose(1, 0, 2, 3)
+        self.ind[:, n + firms, :, :, firms] = ind_f.transpose(1, 0, 2, 3)
+        self.thr_valid = np.concatenate([valid_w, valid_f], axis=1)
         self.acc_w = (self.P > 0.0).astype(np.float64)
         self.acc_f = (self.Q > 0.0).astype(np.float64)
         self.X = np.concatenate([self.P.reshape(B, -1), self.Q.reshape(B, -1)], axis=1)
@@ -381,6 +396,10 @@ def train(config: TrainConfig, progress=None) -> TrainResult:
             backward(build.tape, build.loss)
             grads = [(w.grad, b.grad) for w, b in build.param_nodes]
             params, state = adam_step(state, params, grads)
+            # nodes and tape reference each other; break the cycle so the
+            # iteration's activations and gradients are freed now, not at
+            # the next full garbage collection
+            build.tape.nodes.clear()
         except (NumericError, NumericOverflowError):
             write_log()
             raise

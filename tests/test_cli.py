@@ -163,6 +163,16 @@ class TestSweep:
         assert cli.main(["sweep", "--config", tiny_cfg, "--lambdas", "1.5",
                         "--out-dir", str(tmp_path / "s")]) == 1
 
+    def test_failed_point_exits_nonzero(self, tmp_path, tiny_cfg):
+        out_dir = tmp_path / "sweep"
+        out_dir.mkdir()
+        (out_dir / "lambda_0.ckpt").write_bytes(b"corrupt")
+        assert cli.main(["sweep", "--config", tiny_cfg, "--lambdas", "0",
+                        "--out-dir", str(out_dir)]) == cli.SWEEP_POINTS_FAILED
+        with open(out_dir / "frontier.csv") as fh:
+            labels = [r[0] for r in list(csv.reader(fh))[1:]]
+        assert labels == ["wda", "fda", "rsd", "da-best"]
+
     def test_checkpoints_reused(self, tmp_path, tiny_cfg):
         out_dir = tmp_path / "sweep"
         cli.main(["sweep", "--config", tiny_cfg, "--lambdas", "0",

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from matchfrontier import metrics
-from matchfrontier.net import (CheckpointError, NetworkDims, NetworkMechanism,
-                               NumericOverflowError, build_mask, forward,
-                               forward_batch, init_params, layer_shapes,
-                               load_checkpoint, save_checkpoint)
+from matchfrontier.net import (LEAKY_SLOPE, CheckpointError, NetworkDims,
+                               NetworkMechanism, NumericOverflowError,
+                               build_mask, forward, forward_batch, init_params,
+                               layer_shapes, load_checkpoint, save_checkpoint)
 from matchfrontier.prefs import (DistributionConfig, DistributionKind, encode,
                                  parse_profile, sample_profiles)
 
@@ -14,6 +14,30 @@ def random_profiles(count, n=4, m=4, seed=0):
     cfg = DistributionConfig(DistributionKind.UNCORRELATED, n, m,
                              p_trunc=0.3, seed=seed)
     return sample_profiles(cfg, count)
+
+
+def reference_forward(params, dims, x, beta):
+    """The forward pass written plainly, one finite check per layer: the
+    reference forward_batch must reproduce bit for bit."""
+    n, m = dims.n, dims.m
+    h = x
+    for layer, (weight, bias) in enumerate(params[:-1]):
+        z = h @ weight.T + bias
+        h = np.where(z > 0.0, z, LEAKY_SLOPE * z)
+        if not np.all(np.isfinite(h)):
+            raise NumericOverflowError(layer)
+    weight, bias = params[-1]
+    out = h @ weight.T + bias
+    if not np.all(np.isfinite(out)):
+        raise NumericOverflowError(len(params) - 1)
+    split = (n + 1) * m
+    s = out[:, :split].reshape(-1, n + 1, m)
+    s2 = out[:, split:].reshape(-1, n, m + 1)
+    sbar = beta[:, :, :m] * np.logaddexp(0.0, s)
+    sbar2 = beta[:, :n, :] * np.logaddexp(0.0, s2)
+    shat = sbar / sbar.sum(axis=1, keepdims=True)
+    shat2 = sbar2 / sbar2.sum(axis=2, keepdims=True)
+    return np.minimum(shat[:, :n, :], shat2[:, :, :m])
 
 
 class TestDims:
@@ -112,6 +136,29 @@ class TestForward:
             forward_batch(params, dims, np.full((1, 8), 1e300), np.ones((1, 3, 3)))
         assert info.value.layer == 0
 
+    @pytest.mark.parametrize("layer", [1, 2, 3])
+    def test_overflow_layer_reported(self, layer):
+        # all-ones weights give activations 8, 32, 128 by hidden layer, so
+        # 1e307 weights overflow every layer from 1 on, 3 being the output
+        dims = NetworkDims(2, 2, R=3, J=4)
+        params = [(np.ones(w), np.zeros(b)) for w, b in layer_shapes(dims)]
+        params[layer] = (np.full_like(params[layer][0], 1e307), params[layer][1])
+        with pytest.raises(NumericOverflowError) as info:
+            forward_batch(params, dims, np.ones((2, 8)), np.ones((2, 3, 3)))
+        assert info.value.layer == layer
+
+    @pytest.mark.parametrize("n,m", [(3, 3), (4, 4), (2, 5), (9, 8)])
+    def test_bitwise_equal_to_reference(self, n, m):
+        # 9x8 makes the normalizing sums long enough for pairwise summation
+        dims = NetworkDims(n, m, R=3, J=16)
+        params = [(3.0 * w, b + 0.1) for w, b in init_params(dims, seed=n * m)]
+        profiles = random_profiles(64, n=n, m=m, seed=n + m)
+        x = np.stack([np.concatenate([e.p.reshape(-1), e.q.reshape(-1)])
+                      for e in map(encode, profiles)])
+        beta = np.stack([build_mask(p) for p in profiles])
+        got = forward_batch(params, dims, x, beta)
+        assert got.tobytes() == reference_forward(params, dims, x, beta).tobytes()
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
@@ -140,6 +187,26 @@ class TestCheckpoint:
             fh.write(b"\x00")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_failed_write_keeps_previous(self, tmp_path):
+        dims = NetworkDims(2, 2, R=2, J=4)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, init_params(dims, 1), dims, 0.5, 1)
+        before = path.read_bytes()
+
+        class FailingArray:
+            def astype(self, dtype):
+                return self
+
+            def tobytes(self):
+                raise OSError("disk full")
+
+        params = init_params(dims, 2)
+        params[1] = (FailingArray(), params[1][1])  # fails after layer 0
+        with pytest.raises(OSError):
+            save_checkpoint(path, params, dims, 0.5, 2)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["net.ckpt"]
 
     def test_loaded_network_runs(self, tmp_path):
         dims = NetworkDims(3, 3, R=2, J=8)

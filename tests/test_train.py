@@ -1,17 +1,19 @@
 import csv
+import gc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from matchfrontier import metrics
-from matchfrontier.autodiff import backward
-from matchfrontier.net import (NetworkDims, NetworkMechanism, init_params,
-                               load_checkpoint)
+from matchfrontier.autodiff import Tape, backward
+from matchfrontier.net import (NetworkDims, NetworkMechanism, build_mask,
+                               init_params, load_checkpoint)
 from matchfrontier.prefs import (AgentId, DistributionConfig,
-                                 DistributionKind, Side, parse_profile,
-                                 sample_profiles)
-from matchfrontier.train import (HELDOUT_LANE, TrainConfig, desk_config,
+                                 DistributionKind, PreferenceOrder,
+                                 PreferenceProfile, Side, encode,
+                                 parse_profile, sample_profiles)
+from matchfrontier.train import (HELDOUT_LANE, TrainConfig, _Batch, desk_config,
                                  find_defeating_report, loss_minibatch, train)
 
 
@@ -69,6 +71,64 @@ class TestLossGradient:
         dims = NetworkDims(2, 2, R=2, J=6)
         with pytest.raises(ValueError):
             loss_minibatch(init_params(dims, 0), dims, [], 0.5)
+
+
+def reference_batch(profiles, dims):
+    """_Batch's arrays built with per-agent prefers() loops: the reference
+    the rank-array construction must reproduce bit for bit."""
+    n, m = dims.n, dims.m
+    B = len(profiles)
+    A = n + m
+    TH = max(n, m)
+    P = np.empty((B, n, m))
+    Q = np.empty((B, n, m))
+    beta = np.empty((B, n + 1, m + 1))
+    ind = np.zeros((B, A, TH, n, m))
+    thr_valid = np.zeros((B, A, TH), dtype=bool)
+    for b, profile in enumerate(profiles):
+        enc = encode(profile)
+        P[b] = enc.p
+        Q[b] = enc.q
+        beta[b] = build_mask(profile)
+        for w, order in enumerate(profile.workers):
+            for t, threshold in enumerate(order.acceptable()):
+                for f in range(m):
+                    if f == threshold or order.prefers(f, threshold):
+                        ind[b, w, t, w, f] = 1.0
+                thr_valid[b, w, t] = True
+        for f, order in enumerate(profile.firms):
+            for t, threshold in enumerate(order.acceptable()):
+                for w in range(n):
+                    if w == threshold or order.prefers(w, threshold):
+                        ind[b, n + f, t, w, f] = 1.0
+                thr_valid[b, n + f, t] = True
+    acc_w = (P > 0.0).astype(np.float64)
+    acc_f = (Q > 0.0).astype(np.float64)
+    X = np.concatenate([P.reshape(B, -1), Q.reshape(B, -1)], axis=1)
+    return dict(P=P, Q=Q, beta=beta, ind=ind, thr_valid=thr_valid,
+                acc_w=acc_w, acc_f=acc_f, X=X)
+
+
+class TestBatch:
+    @pytest.mark.parametrize("n,m", [(3, 3), (4, 4), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("kind,p_corr", [(DistributionKind.UNCORRELATED, 0.0),
+                                             (DistributionKind.CORRELATED, 0.5)])
+    def test_equals_loop_reference(self, n, m, kind, p_corr):
+        dist = DistributionConfig(kind, n, m, p_corr=p_corr, p_trunc=0.5, seed=11)
+        profiles = sample_profiles(dist, 64)
+        dims = NetworkDims(n, m, R=2, J=4)
+        batch = _Batch(profiles, dims)
+        for name, expected in reference_batch(profiles, dims).items():
+            got = getattr(batch, name)
+            assert got.dtype == expected.dtype, name
+            assert np.array_equal(got, expected), name
+
+    def test_invalid_ranking_rejected(self):
+        # a worker ranking a firm index outside 0..m-1
+        profile = PreferenceProfile((PreferenceOrder((0, 5, -1)),),
+                                    (PreferenceOrder((0, -1)), PreferenceOrder((0, -1))))
+        with pytest.raises(ValueError):
+            _Batch([profile], NetworkDims(1, 2, R=1, J=2))
 
 
 class TestDefeatingSearch:
@@ -140,6 +200,17 @@ class TestTrainLoop:
             rows = list(csv.reader(fh))[1:]
         assert float(rows[0][4]) == pytest.approx(0.002)   # iters 0-2
         assert float(rows[1][4]) == pytest.approx(0.001)   # after milestone 4
+
+    def test_tapes_freed_without_gc(self):
+        # each iteration's tape must be freed by reference counting alone
+        gc.collect()
+        gc.disable()
+        try:
+            train(small_config(iterations=3, eval_every=0, test_size=0))
+            live = [obj for obj in gc.get_objects() if isinstance(obj, Tape)]
+        finally:
+            gc.enable()
+        assert live == []
 
     def test_lambda_bounds_validated(self):
         with pytest.raises(ValueError):

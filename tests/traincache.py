@@ -3,8 +3,19 @@
 Checkpoints live in tests/artifacts and are keyed by (lambda, seed); a
 missing checkpoint is trained on demand.  Running this module directly
 pre-builds every run the acceptance tests need.
+
+`python3 tests/traincache.py --check desk_s1_l0 desk_s1_l0.5` instead
+retrains the named runs into a temporary directory and compares their
+checkpoint and log byte for byte with the cached ones; it exits non-zero
+on any difference and never writes to the cache.
 """
+import argparse
+import filecmp
 import os
+import re
+import sys
+import tempfile
+import time
 
 ARTIFACT_DIR = os.path.join(os.path.dirname(__file__), "artifacts")
 
@@ -13,27 +24,89 @@ ACCEPTANCE_RUNS = [(0.0, 1), (0.0, 2), (0.0, 3), (1.0, 1), (1.0, 2), (1.0, 3),
                    (0.3, 1), (0.5, 1), (0.8, 1)]
 
 
-def checkpoint_path(lam: float, seed: int) -> str:
-    return os.path.join(ARTIFACT_DIR, f"desk_s{seed}_l{lam:g}.ckpt")
+def run_name(lam: float, seed: int) -> str:
+    return f"desk_s{seed}_l{lam:g}"
 
 
-def ensure_checkpoint(lam: float, seed: int) -> str:
+def checkpoint_path(lam: float, seed: int, directory: str = ARTIFACT_DIR) -> str:
+    return os.path.join(directory, run_name(lam, seed) + ".ckpt")
+
+
+def train_run(lam: float, seed: int, path: str) -> None:
+    """Train one desk run: checkpoint at `path`, log at `path`.log."""
     from matchfrontier.train import desk_config, train
 
-    path = checkpoint_path(lam, seed)
-    if os.path.exists(path):
-        return path
-    os.makedirs(ARTIFACT_DIR, exist_ok=True)
     tmp = path + ".partial"
     config = desk_config(lam, seed=seed, checkpoint_path=tmp,
                          log_path=path + ".log")
     train(config)
     os.replace(tmp, path)
+
+
+def ensure_checkpoint(lam: float, seed: int) -> str:
+    path = checkpoint_path(lam, seed)
+    if os.path.exists(path):
+        return path
+    os.makedirs(ARTIFACT_DIR, exist_ok=True)
+    train_run(lam, seed, path)
     return path
 
 
-if __name__ == "__main__":
+def parse_run_name(name: str):
+    """(lambda, seed) from a run name such as desk_s1_l0.5."""
+    match = re.fullmatch(r"desk_s(\d+)_l(\d+(?:\.\d+)?)", name)
+    if not match or run_name(float(match.group(2)), int(match.group(1))) != name:
+        raise ValueError(f"bad run name {name!r}, expected desk_s<seed>_l<lambda>")
+    return float(match.group(2)), int(match.group(1))
+
+
+def check_runs(runs) -> int:
+    """Retrain each (lambda, seed) run into a temporary directory and
+    compare its checkpoint and log with the cached ones.  Returns the number
+    of files that differ or have no cached copy."""
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        for lam, seed in runs:
+            cached = checkpoint_path(lam, seed)
+            fresh = checkpoint_path(lam, seed, tmp_dir)
+            start = time.perf_counter()
+            train_run(lam, seed, fresh)
+            elapsed = time.perf_counter() - start
+            for suffix in ("", ".log"):
+                label = os.path.basename(cached + suffix)
+                if not os.path.exists(cached + suffix):
+                    verdict = "MISSING from the cache"
+                elif filecmp.cmp(fresh + suffix, cached + suffix, shallow=False):
+                    verdict = "identical"
+                else:
+                    verdict = "DIFFERS"
+                if verdict != "identical":
+                    failed += 1
+                print(f"{label}: {verdict} (retrained in {elapsed:.0f} s)", flush=True)
+    return failed
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", nargs="+", metavar="RUN",
+                        help="retrain these runs and compare with the cache")
+    args = parser.parse_args(argv)
+    if args.check:
+        try:
+            runs = [parse_run_name(name) for name in args.check]
+        except ValueError as err:
+            print(err, file=sys.stderr)
+            return 2
+        failed = check_runs(runs)
+        print("byte-identical" if not failed else f"{failed} file(s) differ")
+        return 1 if failed else 0
     for lam, seed in ACCEPTANCE_RUNS:
         print(f"lambda={lam} seed={seed}", flush=True)
         ensure_checkpoint(lam, seed)
     print("all checkpoints ready")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    sys.exit(main())
