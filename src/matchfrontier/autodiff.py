@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-LEAKY_SLOPE = 0.01
-
 
 class TapeUsageError(RuntimeError):
     pass
@@ -123,7 +121,7 @@ class Node:
 
     # -- nonlinearities -----------------------------------------------------
 
-    def leaky_relu(self, slope: float = LEAKY_SLOPE):
+    def leaky_relu(self, slope: float):
         factor = np.where(self.value > 0.0, 1.0, slope)
         return Node(self.tape, np.where(self.value > 0.0, self.value, slope * self.value),
                     (self,), lambda g: (g * factor,))

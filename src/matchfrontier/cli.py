@@ -1,11 +1,11 @@
-"""Experiment runner CLI: data generation, training, evaluation, lambda
-sweeps, baselines, audits, and decomposition.
+"""Experiment runner CLI: data generation, training, evaluation of learned
+and classical mechanisms, lambda sweeps, audits, and decomposition.
 
-Subcommands: gen, train, eval, sweep, baseline, audit, decompose.
+Subcommands: gen, train, eval, sweep, audit, decompose.
 Config files are flat ``key = value`` text with ``#`` comments; unknown
 keys are hard errors.  The MATCH_SEED environment variable overrides the
 config seed.  Exit codes: 0 success, 1 validation, 2 numeric failure,
-3 I/O.
+3 I/O, 4 sweep with failed lambda points.
 """
 from __future__ import annotations
 
@@ -169,6 +169,12 @@ def fmt(x) -> str:
     return f"{x:.12g}"
 
 
+def frontier_report(label, report):
+    """A report as the frontier shows it: RSD's stability violation
+    includes its IR violation."""
+    return replace(report, stv=report.stv + report.irv) if label == "rsd" else report
+
+
 def eval_row(label, lam, report) -> list:
     return [label, "" if lam is None else fmt(lam), fmt(report.stv),
             fmt(report.rgt), fmt(report.irv), fmt(report.welfare_per_agent),
@@ -237,6 +243,14 @@ def cmd_eval(args) -> int:
             if new_file:
                 writer.writerow(EVAL_HEADER)
             writer.writerow(row)
+    if args.matchings_out:
+        rng = np.random.Generator(np.random.Philox(key=[args.seed or 0, 0xB45E]))
+        with open(args.matchings_out, "w") as fh:
+            for profile in profiles:
+                decomposition = bvn_decompose(mech.evaluate(profile))
+                weights = np.array([w for w, _ in decomposition.components])
+                pick = rng.choice(len(weights), p=weights / weights.sum())
+                fh.write(format_matching(decomposition.components[pick][1]) + "\n")
     return 0
 
 
@@ -252,6 +266,18 @@ def _sweep_train_one(task):
 
 # exit code of a sweep that wrote frontier.csv without some lambda points
 SWEEP_POINTS_FAILED = 4
+
+
+def _stale_fields(settings, lam, dims, ckpt_lam, ckpt_seed) -> list:
+    """The checkpoint header fields (n, m, R, J, lambda, seed) that differ
+    from what the sweep's settings ask for at this lambda."""
+    header = {"n": dims.n, "m": dims.m, "R": dims.R, "J": dims.J,
+              "lambda": ckpt_lam, "seed": ckpt_seed}
+    wanted = {"n": settings["n"], "m": settings["m"], "R": settings["hidden_layers"],
+              "J": settings["hidden_units"], "lambda": round(lam * 1e6) / 1e6,
+              "seed": settings["seed"]}
+    return [f"{key}={header[key]:g} (settings: {wanted[key]:g})"
+            for key in header if header[key] != wanted[key]]
 
 
 def cmd_sweep(args) -> int:
@@ -283,7 +309,11 @@ def cmd_sweep(args) -> int:
     for lam in lambdas:
         ckpt = os.path.join(args.out_dir, f"lambda_{fmt(lam)}.ckpt")
         try:
-            params, dims, _, _ = load_checkpoint(ckpt)
+            params, dims, ckpt_lam, ckpt_seed = load_checkpoint(ckpt)
+            stale = _stale_fields(settings, lam, dims, ckpt_lam, ckpt_seed)
+            if stale:
+                raise ConfigError(f"{ckpt} does not match the settings: "
+                                  f"{', '.join(stale)}; remove it to retrain")
             report = metrics.evaluate(NetworkMechanism(params, dims), heldout, cap=cap)
             rows.append(("learned", lam, report))
         except Exception as err:  # keep sweeping; record the failure
@@ -303,37 +333,12 @@ def cmd_sweep(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(EVAL_HEADER)
         for label, lam, report in rows:
-            # RSD's reported stability violation includes its IR violation
-            if label == "rsd":
-                report = replace(report, stv=report.stv + report.irv)
-            writer.writerow(eval_row(label, lam, report))
+            writer.writerow(eval_row(label, lam, frontier_report(label, report)))
     write_frontier_svg(os.path.join(args.out_dir, "frontier.svg"), rows)
     print(f"wrote {frontier_csv}")
     if failures:
         print(f"{len(failures)} lambda runs failed", file=sys.stderr)
         return SWEEP_POINTS_FAILED
-    return 0
-
-
-def cmd_baseline(args) -> int:
-    label = args.mechanism.lower()
-    if label not in BASELINE_LABELS:
-        raise ConfigError(f"mechanism must be one of {BASELINE_LABELS}")
-    mech = lift_mechanism(MechanismKind(label))
-    profiles = read_profiles(args.profiles)
-    if not profiles:
-        raise ConfigError(f"no profiles in {args.profiles}")
-    report = metrics.evaluate(mech, profiles, cap=args.misreport_cap)
-    print(",".join(EVAL_HEADER))
-    print(",".join(eval_row(label, None, report)))
-    if args.matchings_out:
-        rng = np.random.Generator(np.random.Philox(key=[args.seed or 0, 0xB45E]))
-        with open(args.matchings_out, "w") as fh:
-            for profile in profiles:
-                decomposition = bvn_decompose(mech.evaluate(profile))
-                weights = np.array([w for w, _ in decomposition.components])
-                pick = rng.choice(len(weights), p=weights / weights.sum())
-                fh.write(format_matching(decomposition.components[pick][1]) + "\n")
     return 0
 
 
@@ -379,8 +384,7 @@ def write_frontier_svg(path, rows, width=640, height=480) -> None:
     pad = 60
     points = []
     for label, lam, report in rows:
-        stv = report.stv + report.irv if label == "rsd" else report.stv
-        points.append((label, lam, stv, report.rgt))
+        points.append((label, lam, frontier_report(label, report).stv, report.rgt))
     xmax = max(max((p[2] for p in points), default=0.0), 1e-9) * 1.1
     ymax = max(max((p[3] for p in points), default=0.0), 1e-9) * 1.1
 
@@ -463,6 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="CSV to append the row to")
     p.add_argument("--label")
     p.add_argument("--misreport-cap", type=int, default=6)
+    p.add_argument("--matchings-out", help="write one sampled matching per profile here")
+    p.add_argument("--seed", type=int, help="seed for sampling --matchings-out")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="train/evaluate a lambda sweep + baselines")
@@ -471,14 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--parallel", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("baseline", help="run a classical mechanism")
-    p.add_argument("--mechanism", required=True, help="wda | fda | rsd")
-    p.add_argument("--profiles", required=True)
-    p.add_argument("--matchings-out", help="write realized matchings here")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--misreport-cap", type=int, default=6)
-    p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("audit", help="brute-force FOSD and stability audit")
     p.add_argument("--checkpoint")

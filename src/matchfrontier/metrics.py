@@ -11,6 +11,7 @@ import numpy as np
 from .prefs import (AgentId, EncodedProfile, PreferenceProfile, Side, encode,
                     enumerate_misreports)
 from .mechanisms import Proposing, RandomizedMatching, da
+from .net import NetworkMechanism
 
 
 @dataclass(frozen=True)
@@ -42,19 +43,25 @@ def stv_pair(r: RandomizedMatching, enc: EncodedProfile, w: int, f: int) -> floa
     return firm_side * worker_side
 
 
-def stv_profile(r: RandomizedMatching, enc: EncodedProfile) -> float:
-    """Average stability violation: 1/2 (1/m + 1/n) * sum of pair terms."""
-    _check_dims(r, enc)
-    n, m = enc.p.shape
-    # vectorized over all pairs; matches stv_pair entrywise
-    g_bot_f = 1.0 - r.r.sum(axis=0)           # (m,)
-    g_w_bot = 1.0 - r.r.sum(axis=1)           # (n,)
+def stv_batch(r: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per-profile average stability violation, 1/2 (1/m + 1/n) times the
+    sum of stv_pair over all pairs, for marginals r and encodings p, q,
+    all (B, n, m)."""
+    n, m = p.shape[1:]
+    g_bot_f = 1.0 - r.sum(axis=1)             # (B, m)
+    g_w_bot = 1.0 - r.sum(axis=2)             # (B, n)
     # firm_side[w, f] = sum_w' r[w', f] * max(q[w, f] - q[w', f], 0) + g_bot_f[f] * max(q[w, f], 0)
-    dq = np.maximum(enc.q[:, None, :] - enc.q[None, :, :], 0.0)   # (w, w', f)
-    firm_side = np.einsum("af,waf->wf", r.r, dq) + g_bot_f[None, :] * np.maximum(enc.q, 0.0)
-    dp = np.maximum(enc.p[:, :, None] - enc.p[:, None, :], 0.0)   # (w, f, f')
-    worker_side = np.einsum("wb,wfb->wf", r.r, dp) + g_w_bot[:, None] * np.maximum(enc.p, 0.0)
-    return 0.5 * (1.0 / m + 1.0 / n) * float((firm_side * worker_side).sum())
+    dq = np.maximum(q[:, :, None, :] - q[:, None, :, :], 0.0)    # (B, w, w', f)
+    firm_side = np.einsum("baf,bwaf->bwf", r, dq) + g_bot_f[:, None, :] * np.maximum(q, 0.0)
+    dp = np.maximum(p[:, :, :, None] - p[:, :, None, :], 0.0)    # (B, w, f, f')
+    worker_side = np.einsum("bwg,bwfg->bwf", r, dp) + g_w_bot[:, :, None] * np.maximum(p, 0.0)
+    return 0.5 * (1.0 / m + 1.0 / n) * (firm_side * worker_side).sum(axis=(1, 2))
+
+
+def stv_profile(r: RandomizedMatching, enc: EncodedProfile) -> float:
+    """Average stability violation of one profile."""
+    _check_dims(r, enc)
+    return float(stv_batch(r.r[None], enc.p[None], enc.q[None])[0])
 
 
 def irv_profile(r: RandomizedMatching, enc: EncodedProfile) -> float:
@@ -67,18 +74,15 @@ def irv_profile(r: RandomizedMatching, enc: EncodedProfile) -> float:
 
 
 def cumulative_prob(r: RandomizedMatching, order, agent: AgentId,
-                    threshold: int, strict: bool = False) -> float:
+                    threshold: int) -> float:
     """Mass the agent receives on partners ranked weakly above the
-    threshold under `order`.  `strict=True` switches to the literal
-    strict-inequality reading (excludes the threshold itself); the default
-    weak inclusion is the top-k cumulative used everywhere in this package.
-    """
+    threshold under `order` (the top-k cumulative, threshold included)."""
     if not order.is_acceptable(threshold):
         raise ValueError(f"threshold {threshold} is unacceptable under the given order")
     marginal = r.r[agent.index, :] if agent.side is Side.WORKER else r.r[:, agent.index]
     total = 0.0
     for x in range(marginal.shape[0]):
-        if order.prefers(x, threshold) or (x == threshold and not strict):
+        if order.prefers(x, threshold) or x == threshold:
             total += marginal[x]
     return float(total)
 
@@ -152,71 +156,34 @@ def entropy(r: RandomizedMatching) -> float:
     return float(h_workers / (2 * n) + h_firms / (2 * m))
 
 
-def _marginals_for(mech, profiles):
-    """One RandomizedMatching per profile, batched when the mechanism
-    supports it."""
-    if hasattr(mech, "evaluate_many"):
-        return mech.evaluate_many(profiles)
-    out = []
-    for idx, profile in enumerate(profiles):
-        try:
-            out.append(mech.evaluate(profile))
-        except Exception as err:
-            raise RuntimeError(f"evaluation failed at profile {idx}") from err
-    return out
-
-
 def evaluate(mech, profiles, cap: int = 6) -> EvalReport:
     """Arithmetic means of all per-profile metrics over a profile set.
-    Regret uses full misreport enumeration."""
+    Regret uses full misreport enumeration; for a network, stability
+    violation and regret come from the batched training search, which
+    enumerates the same misreports."""
     if not profiles:
         raise ValueError("profile list is empty")
+    stv = rgt = marginals = None
+    if isinstance(mech, NetworkMechanism):
+        from .train import evaluate_network, misreport_tables  # train imports metrics
+        stv, rgt, marginals = evaluate_network(mech.params, mech.dims, profiles,
+                                               misreport_tables(mech.dims, cap))
+        stv, rgt = stv.tolist(), rgt.tolist()
     stv_sum = rgt_sum = irv_sum = wel_sum = sim_sum = ent_sum = 0.0
-    truths = _marginals_for(mech, profiles)
-    batched = hasattr(mech, "evaluate_many")
-    for idx, (profile, r) in enumerate(zip(profiles, truths)):
+    for idx, profile in enumerate(profiles):
         try:
+            r = mech.evaluate(profile) if marginals is None \
+                else RandomizedMatching(marginals[idx])
             enc = encode(profile)
-            stv_sum += stv_profile(r, enc)
+            stv_sum += stv_profile(r, enc) if stv is None else stv[idx]
             irv_sum += irv_profile(r, enc)
             wel_sum += welfare_profile(r, enc)
             sim_sum += similarity(r, profile)
             ent_sum += entropy(r)
-            rgt_sum += (_regret_profile_batched(mech, profile, r, cap) if batched
-                        else regret_profile(mech, profile, cap))
+            rgt_sum += regret_profile(mech, profile, cap) if rgt is None else rgt[idx]
         except Exception as err:
             raise RuntimeError(f"evaluation failed at profile {idx}") from err
     count = len(profiles)
     return EvalReport(stv=stv_sum / count, rgt=rgt_sum / count, irv=irv_sum / count,
                       welfare_per_agent=wel_sum / count, sim=sim_sum / count,
                       entropy=ent_sum / count, profiles_evaluated=count)
-
-
-def _regret_profile_batched(mech, profile, r_truth, cap: int) -> float:
-    """regret_profile that pushes all misreport variants of one profile
-    through evaluate_many at once."""
-    variants = []
-    spans = []  # (agent, thresholds, start, stop)
-    for agent in profile.agents():
-        order = profile.order_of(agent)
-        thresholds = list(order.acceptable())
-        if not thresholds:
-            spans.append((agent, thresholds, 0, 0))
-            continue
-        size = profile.m if agent.side is Side.WORKER else profile.n
-        misreports = enumerate_misreports(agent.side, size, cap=cap)
-        start = len(variants)
-        variants.extend(profile.with_order(agent, mis) for mis in misreports)
-        spans.append((agent, thresholds, start, len(variants)))
-    results = mech.evaluate_many(variants) if variants else []
-
-    worker_regrets, firm_regrets = [], []
-    for agent, thresholds, start, stop in spans:
-        order = profile.order_of(agent)
-        best = 0.0
-        truth_cum = {t: cumulative_prob(r_truth, order, agent, t) for t in thresholds}
-        for r_mis in results[start:stop]:
-            for t in thresholds:
-                best = max(best, cumulative_prob(r_mis, order, agent, t) - truth_cum[t])
-        (worker_regrets if agent.side is Side.WORKER else firm_regrets).append(best)
-    return float(0.5 * (np.mean(worker_regrets) + np.mean(firm_regrets)))

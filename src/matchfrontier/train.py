@@ -1,5 +1,6 @@
 """Training: minibatch assembly, defeating-misreport search, the tradeoff
-loss, the SGD loop, and checkpointing.
+loss, the SGD loop, checkpointing, and the exact stability-violation and
+regret evaluation of a network.
 
 The loss is lambda * stability violation + (1 - lambda) * a regret
 surrogate.  Per agent, the surrogate fixes both the defeating misreport
@@ -17,6 +18,7 @@ import numpy as np
 
 from . import autodiff, net
 from .autodiff import NumericError, OptimizerState, Tape, adam_step, backward, lr_schedule
+from .metrics import stv_batch
 from .net import NetworkDims, NumericOverflowError, init_params
 from .prefs import (BOTTOM, AgentId, DistributionConfig, PreferenceOrder,
                     PreferenceProfile, Side, encode_order,
@@ -29,6 +31,12 @@ HELDOUT_LANE = 2
 # rows per forward call: one chunk's activations stay in cache (1 MB at
 # J=64, 4 MB at J=256); the outputs do not depend on it
 _FORWARD_CHUNK = 2048
+
+# profiles per block of evaluate_network's search, which bounds the memory
+# of the misreport variants (at 3x3 a block is 18,432 variant rows, nine
+# forward chunks).  BLAS results depend on the row count, so another block
+# size changes the evaluated numbers in the last place.
+_EVAL_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -74,6 +82,17 @@ def _misreport_table(side: Side, size: int, cap: int) -> _MisreportTable:
     rows = np.stack([encode_order(o, size) for o in orders])
     acc = (rows > 0.0).astype(np.float64)
     return _MisreportTable(tuple(orders), rows, acc)
+
+
+def misreport_tables(dims: NetworkDims, cap: int):
+    """The (worker, firm) misreport tables of a market."""
+    return (_misreport_table(Side.WORKER, dims.m, cap),
+            _misreport_table(Side.FIRM, dims.n, cap))
+
+
+def _side_weights(n: int, m: int) -> np.ndarray:
+    """Per-agent regret weights: each side averaged, the sides halved."""
+    return np.concatenate([np.full(n, 1.0 / (2 * n)), np.full(m, 1.0 / (2 * m))])
 
 
 def _rank_arrays(orders, size: int):
@@ -207,8 +226,7 @@ def _search_defeating(params, dims: NetworkDims, batch: _Batch, tables):
 def find_defeating_report(params, dims: NetworkDims, profile: PreferenceProfile,
                           agent: AgentId, cap: int = 6) -> DefeatingReport:
     """Max-gain defeating misreport for one agent, or truth with gain 0."""
-    tables = (_misreport_table(Side.WORKER, dims.m, cap),
-              _misreport_table(Side.FIRM, dims.n, cap))
+    tables = misreport_tables(dims, cap)
     batch = _Batch([profile], dims)
     best_k, _, best_gain = _search_defeating(params, dims, batch, tables)
     a = agent.index if agent.side is Side.WORKER else dims.n + agent.index
@@ -242,6 +260,33 @@ def _forward_tape(tape: Tape, param_nodes, dims: NetworkDims, x: np.ndarray,
     return shat[:, :n, :].minimum(shat2[:, :, :m])
 
 
+def _defeat_inputs(batch: _Batch, dims: NetworkDims, tables, best_k, best_th):
+    """Per (profile, agent): the truth inputs with the agent's chosen
+    misreport substituted, and the prefix-set indicator of the chosen
+    threshold (zero where truth wins, best_k < 0)."""
+    n, m = dims.n, dims.m
+    B = len(batch.profiles)
+    A = n + m
+    table_w, table_f = tables
+    X_def = np.repeat(batch.X, A, axis=0).reshape(B, A, -1)
+    beta_def = np.repeat(batch.beta, A, axis=0).reshape(B, A, n + 1, m + 1)
+    chosen = best_k >= 0
+    ind_sel = np.take_along_axis(batch.ind, best_th[:, :, None, None, None], axis=2)[:, :, 0]
+    ind_sel = np.where(chosen[:, :, None, None], ind_sel, 0.0)
+    for w in range(n):
+        b = np.flatnonzero(chosen[:, w])
+        k = best_k[b, w]
+        X_def[b, w, w * m:(w + 1) * m] = table_w.rows[k]
+        beta_def[b, w, w, :m] = table_w.acc[k] * batch.acc_f[b, w, :]
+    q_idx = n * m + np.arange(n) * m
+    for f in range(m):
+        b = np.flatnonzero(chosen[:, n + f])
+        k = best_k[b, n + f]
+        X_def[b[:, None], n + f, q_idx + f] = table_f.rows[k]
+        beta_def[b, n + f, :n, f] = table_f.acc[k] * batch.acc_w[b, :, f]
+    return X_def, beta_def, ind_sel
+
+
 @dataclass
 class LossBuild:
     tape: Tape
@@ -257,31 +302,13 @@ def _loss_from_batch(params, dims: NetworkDims, batch: _Batch, lam: float,
     n, m = dims.n, dims.m
     B = len(batch.profiles)
     A = n + m
-    table_w, table_f = tables
 
     if selection is None:
         best_k, best_th, _ = _search_defeating(params, dims, batch, tables)
     else:
         best_k, best_th = selection
 
-    # defeat inputs: truth with the chosen misreport substituted per agent
-    X_def = np.repeat(batch.X, A, axis=0).reshape(B, A, -1)
-    beta_def = np.repeat(batch.beta, A, axis=0).reshape(B, A, n + 1, m + 1)
-    ind_sel = np.zeros((B, A, n, m))
-    for b in range(B):
-        for a in range(A):
-            k = best_k[b, a]
-            if k < 0:
-                continue
-            ind_sel[b, a] = batch.ind[b, a, best_th[b, a]]
-            if a < n:
-                w = a
-                X_def[b, a, w * m:(w + 1) * m] = table_w.rows[k]
-                beta_def[b, a, w, :m] = table_w.acc[k] * batch.acc_f[b, w, :]
-            else:
-                f = a - n
-                X_def[b, a, n * m + np.arange(n) * m + f] = table_f.rows[k]
-                beta_def[b, a, :n, f] = table_f.acc[k] * batch.acc_w[b, :, f]
+    X_def, beta_def, ind_sel = _defeat_inputs(batch, dims, tables, best_k, best_th)
 
     tape = Tape()
     param_nodes = [(tape.leaf(w), tape.leaf(bias)) for w, bias in params]
@@ -304,8 +331,7 @@ def _loss_from_batch(params, dims: NetworkDims, batch: _Batch, lam: float,
     # regret surrogate at the fixed defeating report and threshold
     cum_d = (r_d.reshape(B, A, n, m) * tape.constant(ind_sel)).sum(axis=(2, 3))
     cum_t = (r_t.reshape(B, 1, n, m) * tape.constant(ind_sel)).sum(axis=(2, 3))
-    weights = np.concatenate([np.full(n, 1.0 / (2 * n)), np.full(m, 1.0 / (2 * m))])
-    rgt_node = ((cum_d - cum_t).relu() * tape.constant(weights)).sum(axis=1).mean()
+    rgt_node = ((cum_d - cum_t).relu() * tape.constant(_side_weights(n, m))).sum(axis=1).mean()
 
     loss = stv_node * lam + rgt_node * (1.0 - lam)
     return LossBuild(tape=tape, loss=loss, param_nodes=param_nodes,
@@ -321,30 +347,32 @@ def loss_minibatch(params, dims: NetworkDims, profiles, lam: float,
     the argmax must not move between evaluations)."""
     if not profiles:
         raise ValueError("minibatch is empty")
-    tables = (_misreport_table(Side.WORKER, dims.m, cap),
-              _misreport_table(Side.FIRM, dims.n, cap))
-    return _loss_from_batch(params, dims, _Batch(profiles, dims), lam, tables,
-                            selection=selection)
+    return _loss_from_batch(params, dims, _Batch(profiles, dims), lam,
+                            misreport_tables(dims, cap), selection=selection)
 
 
 # ---------------------------------------------------------------------------
-# Held-out evaluation (exact: the search gain *is* the enumerated regret)
+# Network evaluation (exact: the search gain *is* the enumerated regret)
 
-def _heldout_stv_rgt(params, dims: NetworkDims, batch: _Batch, tables):
-    from .metrics import stv_profile  # local import to avoid cycle at module load
-    from .mechanisms import RandomizedMatching
-    from .prefs import EncodedProfile
+def evaluate_network(params, dims: NetworkDims, profiles, tables):
+    """Per-profile stability violation, per-profile regret and the marginals
+    (P, n, m) of a network.  An agent's regret is its best misreport's FOSD
+    gain over the tables, weighted 1/(2n) for workers and 1/(2m) for firms."""
+    weights = _side_weights(dims.n, dims.m)
+    stv, rgt, marginals = [], [], []
+    for start in range(0, len(profiles), _EVAL_BLOCK):
+        batch = _Batch(profiles[start:start + _EVAL_BLOCK], dims)
+        _, _, best_gain = _search_defeating(params, dims, batch, tables)
+        r = _forward_chunked(params, dims, batch.X, batch.beta)
+        stv.append(stv_batch(r, batch.P, batch.Q))
+        rgt.append((best_gain * weights).sum(axis=1))
+        marginals.append(r)
+    return np.concatenate(stv), np.concatenate(rgt), np.concatenate(marginals)
 
-    n, m = dims.n, dims.m
-    _, _, best_gain = _search_defeating(params, dims, batch, tables)
-    weights = np.concatenate([np.full(n, 1.0 / (2 * n)), np.full(m, 1.0 / (2 * m))])
-    rgt = float((best_gain * weights).sum(axis=1).mean())
-    r_truth = _forward_chunked(params, dims, batch.X, batch.beta)
-    stv = float(np.mean([
-        stv_profile(RandomizedMatching(r_truth[b]),
-                    EncodedProfile(p=batch.P[b], q=batch.Q[b]))
-        for b in range(len(batch.profiles))]))
-    return stv, rgt
+
+def _heldout_stv_rgt(params, dims: NetworkDims, profiles, tables):
+    stv, rgt, _ = evaluate_network(params, dims, profiles, tables)
+    return float(stv.mean()), float(rgt.mean())
 
 
 @dataclass
@@ -361,12 +389,11 @@ def train(config: TrainConfig, progress=None) -> TrainResult:
     Checkpoints at every eval point and at the end; a numeric failure
     aborts with the last good checkpoint on disk."""
     dims, dist = config.dims, config.dist
-    tables = (_misreport_table(Side.WORKER, dims.m, config.misreport_cap),
-              _misreport_table(Side.FIRM, dims.n, config.misreport_cap))
+    tables = misreport_tables(dims, config.misreport_cap)
     params = init_params(dims, seed=dist.seed)
     state = OptimizerState.for_params(params, lr=config.base_lr,
                                       weight_decay=config.weight_decay)
-    heldout = _Batch(sample_profiles(dist, config.test_size, lane=HELDOUT_LANE), dims) \
+    heldout = sample_profiles(dist, config.test_size, lane=HELDOUT_LANE) \
         if config.test_size > 0 else None
 
     log = []

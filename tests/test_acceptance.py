@@ -21,8 +21,8 @@ from matchfrontier.net import (NetworkDims, NetworkMechanism, build_mask,
 from matchfrontier.prefs import (BOTTOM, AgentId, DistributionConfig,
                                  DistributionKind, PreferenceOrder, Side,
                                  encode, encode_order, sample_profiles)
-from matchfrontier.train import (HELDOUT_LANE, _Batch, _heldout_stv_rgt,
-                                 _misreport_table, desk_config, loss_minibatch)
+from matchfrontier.train import (HELDOUT_LANE, _heldout_stv_rgt, desk_config,
+                                 loss_minibatch, misreport_tables)
 from matchfrontier.autodiff import backward
 
 from conftest import EXAMPLE1_TEXT, RSD_EXPECTED
@@ -56,21 +56,17 @@ INTERMEDIATE_LAMBDAS = (0.3, 0.5, 0.8)
 
 @pytest.fixture(scope="session")
 def desk_heldout():
-    """Per seed: the held-out batch plus misreport tables."""
+    """Per seed: the held-out profiles."""
     out = {}
     for seed in DESK_SEEDS:
         config = desk_config(0.0, seed=seed)
-        profiles = sample_profiles(config.dist, config.test_size, lane=HELDOUT_LANE)
-        tables = (_misreport_table(Side.WORKER, 3, 6),
-                  _misreport_table(Side.FIRM, 3, 6))
-        out[seed] = (_Batch(profiles, config.dims), tables, profiles)
+        out[seed] = sample_profiles(config.dist, config.test_size, lane=HELDOUT_LANE)
     return out
 
 
 def _learned_heldout(lam, seed, desk_heldout):
     params, dims, _, _ = load_checkpoint(traincache.ensure_checkpoint(lam, seed))
-    batch, tables, _ = desk_heldout[seed]
-    return _heldout_stv_rgt(params, dims, batch, tables)
+    return _heldout_stv_rgt(params, dims, desk_heldout[seed], misreport_tables(dims, 6))
 
 
 @pytest.fixture(scope="session")
@@ -78,7 +74,7 @@ def rsd_heldout_stats(desk_heldout):
     """Per seed: mean stv + irv of exact RSD on the held-out set."""
     stats = {}
     for seed in DESK_SEEDS:
-        _, _, profiles = desk_heldout[seed]
+        profiles = desk_heldout[seed]
         total = 0.0
         for profile in profiles:
             enc = encode(profile)
@@ -90,7 +86,7 @@ def rsd_heldout_stats(desk_heldout):
 
 @pytest.fixture(scope="session")
 def da_best_rgt_seed1(desk_heldout):
-    _, _, profiles = desk_heldout[1]
+    profiles = desk_heldout[1]
     best = math.inf
     for kind in (MechanismKind.WDA, MechanismKind.FDA):
         mech = _Memo(lift_mechanism(kind))
@@ -354,7 +350,7 @@ class TestAcceptance:
 
     def test_13_monotone_trends(self, desk_heldout):
         lams = (0.0,) + INTERMEDIATE_LAMBDAS + (1.0,)
-        _, _, profiles = desk_heldout[1]
+        profiles = desk_heldout[1]
         sims, ents = [], []
         for lam in lams:
             params, dims, _, _ = load_checkpoint(traincache.ensure_checkpoint(lam, 1))

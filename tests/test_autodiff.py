@@ -66,7 +66,7 @@ class TestOps:
 
     def test_leaky_relu(self):
         x = np.array([-2.0, -0.5, 0.5, 3.0])
-        check_unary("leaky_relu", x)
+        check_unary("leaky_relu", x, slope=0.01)
 
     def test_softplus(self):
         check_unary("softplus", np.array([-30.0, -1.0, 0.0, 1.0, 30.0]))

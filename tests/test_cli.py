@@ -6,6 +6,7 @@ import pytest
 
 from matchfrontier import cli, metrics
 from matchfrontier.mechanisms import MechanismKind, lift_mechanism, parse_matching
+from matchfrontier.net import NetworkDims, init_params, save_checkpoint
 from matchfrontier.prefs import encode, read_profiles
 
 TINY_CFG = """\
@@ -116,6 +117,35 @@ class TestEval:
         assert cli.main(["eval", "--mechanism", "xda",
                         "--profiles", profile_file]) == 1
 
+    def test_matchings_sidecar(self, tmp_path, profile_file):
+        # one matching per profile, for a baseline and for a checkpoint,
+        # and the same matchings again with the same seed
+        dims = NetworkDims(2, 2, R=2, J=6)
+        ckpt = tmp_path / "net.ckpt"
+        save_checkpoint(ckpt, init_params(dims, seed=4), dims, 0.5, 4)
+        profiles = read_profiles(profile_file)
+        for source in (["--mechanism", "rsd"], ["--checkpoint", str(ckpt)]):
+            runs = []
+            for run in ("a", "b"):
+                out = tmp_path / f"{run}.txt"
+                assert cli.main(["eval", *source, "--profiles", profile_file,
+                                "--matchings-out", str(out), "--seed", "1"]) == 0
+                runs.append(out.read_text())
+            assert runs[0] == runs[1]
+            lines = runs[0].splitlines()
+            assert len(lines) == len(profiles)
+            for line, profile in zip(lines, profiles):
+                parse_matching(line, profile.n, profile.m)
+
+    def test_overflowing_checkpoint_is_numeric_failure(self, tmp_path, profile_file):
+        dims = NetworkDims(2, 2, R=2, J=6)
+        params = init_params(dims, seed=4)
+        params[0] = (np.full_like(params[0][0], np.inf), params[0][1])
+        ckpt = tmp_path / "inf.ckpt"
+        save_checkpoint(ckpt, params, dims, 0.5, 4)
+        assert cli.main(["eval", "--checkpoint", str(ckpt),
+                        "--profiles", profile_file]) == 2
+
 
 class TestTrainCommand:
     def test_writes_checkpoint_and_log(self, tmp_path, tiny_cfg):
@@ -173,6 +203,25 @@ class TestSweep:
             labels = [r[0] for r in list(csv.reader(fh))[1:]]
         assert labels == ["wda", "fda", "rsd", "da-best"]
 
+    @pytest.mark.parametrize("field,line", [("seed", "seed = 99"), ("n", "n = 3")],
+                             ids=["seed", "n"])
+    def test_stale_checkpoint_refused(self, tmp_path, tiny_cfg, capsys, field, line):
+        out_dir = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", tiny_cfg, "--lambdas", "0",
+                        "--out-dir", str(out_dir)]) == 0
+        ckpt = out_dir / "lambda_0.ckpt"
+        before = (ckpt.read_bytes(), ckpt.stat().st_mtime_ns)
+        changed = tmp_path / "changed.cfg"
+        changed.write_text(TINY_CFG + line + "\n")
+        capsys.readouterr()
+        assert cli.main(["sweep", "--config", str(changed), "--lambdas", "0",
+                        "--out-dir", str(out_dir)]) == cli.SWEEP_POINTS_FAILED
+        assert (ckpt.read_bytes(), ckpt.stat().st_mtime_ns) == before
+        assert f"{field}=" in capsys.readouterr().err
+        with open(out_dir / "frontier.csv") as fh:
+            labels = [r[0] for r in list(csv.reader(fh))[1:]]
+        assert labels == ["wda", "fda", "rsd", "da-best"]
+
     def test_checkpoints_reused(self, tmp_path, tiny_cfg):
         out_dir = tmp_path / "sweep"
         cli.main(["sweep", "--config", tiny_cfg, "--lambdas", "0",
@@ -182,19 +231,6 @@ class TestSweep:
         cli.main(["sweep", "--config", tiny_cfg, "--lambdas", "0",
                   "--out-dir", str(out_dir)])
         assert ckpt.stat().st_mtime_ns == before
-
-
-class TestBaseline:
-    def test_matchings_sidecar(self, tmp_path, profile_file):
-        out = tmp_path / "matchings.txt"
-        assert cli.main(["baseline", "--mechanism", "rsd", "--profiles",
-                        profile_file, "--matchings-out", str(out),
-                        "--seed", "1"]) == 0
-        profiles = read_profiles(profile_file)
-        lines = out.read_text().splitlines()
-        assert len(lines) == len(profiles)
-        for line, profile in zip(lines, profiles):
-            parse_matching(line, profile.n, profile.m)
 
 
 class TestAudit:

@@ -13,8 +13,10 @@ from matchfrontier.prefs import (AgentId, DistributionConfig,
                                  DistributionKind, PreferenceOrder,
                                  PreferenceProfile, Side, encode,
                                  parse_profile, sample_profiles)
-from matchfrontier.train import (HELDOUT_LANE, TrainConfig, _Batch, desk_config,
-                                 find_defeating_report, loss_minibatch, train)
+from matchfrontier.train import (HELDOUT_LANE, TrainConfig, _Batch, _defeat_inputs,
+                                 _search_defeating, desk_config,
+                                 find_defeating_report, loss_minibatch,
+                                 misreport_tables, train)
 
 
 def small_dist(n=2, m=2, seed=7, p_trunc=0.3):
@@ -129,6 +131,57 @@ class TestBatch:
                                     (PreferenceOrder((0, -1)), PreferenceOrder((0, -1))))
         with pytest.raises(ValueError):
             _Batch([profile], NetworkDims(1, 2, R=1, J=2))
+
+
+def reference_defeat_inputs(batch, dims, tables, best_k, best_th):
+    """The defeat inputs filled by a per-(profile, agent) loop: the
+    reference the vectorized construction must reproduce bit for bit."""
+    n, m = dims.n, dims.m
+    B = len(batch.profiles)
+    A = n + m
+    table_w, table_f = tables
+    X_def = np.repeat(batch.X, A, axis=0).reshape(B, A, -1)
+    beta_def = np.repeat(batch.beta, A, axis=0).reshape(B, A, n + 1, m + 1)
+    ind_sel = np.zeros((B, A, n, m))
+    for b in range(B):
+        for a in range(A):
+            k = best_k[b, a]
+            if k < 0:
+                continue
+            ind_sel[b, a] = batch.ind[b, a, best_th[b, a]]
+            if a < n:
+                w = a
+                X_def[b, a, w * m:(w + 1) * m] = table_w.rows[k]
+                beta_def[b, a, w, :m] = table_w.acc[k] * batch.acc_f[b, w, :]
+            else:
+                f = a - n
+                X_def[b, a, n * m + np.arange(n) * m + f] = table_f.rows[k]
+                beta_def[b, a, :n, f] = table_f.acc[k] * batch.acc_w[b, :, f]
+    return X_def, beta_def, ind_sel
+
+
+class TestDefeatInputs:
+    @pytest.mark.parametrize("n,m", [(3, 3), (4, 4), (2, 3), (3, 2)])
+    def test_equals_loop_reference(self, n, m):
+        dist = DistributionConfig(DistributionKind.UNCORRELATED, n, m,
+                                  p_trunc=0.5, seed=13)
+        profiles = sample_profiles(dist, 32)
+        dims = NetworkDims(n, m, R=2, J=8)
+        batch = _Batch(profiles, dims)
+        tables = misreport_tables(dims, 6)
+        searched = _search_defeating(init_params(dims, seed=3), dims, batch, tables)[:2]
+        # a random selection also reaches misreports the search never picks
+        rng = np.random.default_rng(5)
+        sizes = np.array([len(tables[0].orders)] * n + [len(tables[1].orders)] * m)
+        random_k = np.floor(rng.random((32, n + m)) * (sizes + 1)).astype(np.int64) - 1
+        random_th = rng.integers(0, max(n, m), size=(32, n + m))
+        for best_k, best_th in (searched, (random_k, random_th)):
+            assert (best_k < 0).any() and (best_k >= 0).any()
+            got = _defeat_inputs(batch, dims, tables, best_k, best_th)
+            expected = reference_defeat_inputs(batch, dims, tables, best_k, best_th)
+            for g, e in zip(got, expected):
+                assert g.dtype == e.dtype
+                assert np.array_equal(g, e)
 
 
 class TestDefeatingSearch:
