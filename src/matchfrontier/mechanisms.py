@@ -6,7 +6,6 @@ Agents are addressed by side and index; in priority orders, workers are
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -18,7 +17,9 @@ from .prefs import BOTTOM, PreferenceProfile, format_profile
 
 MARGINAL_TOL = 1e-9
 
-# rsd_exact enumerates (n+m)! priority orders; 8! = 40320 is the default limit.
+# Markets of more than DEFAULT_RSD_CAP agents in all get Monte-Carlo RSD.
+# rsd_exact's memoized count would handle 5x5 too, but moving those markets
+# to exact RSD would change LiftedMechanism's outputs.
 DEFAULT_RSD_CAP = 8
 
 
@@ -27,7 +28,7 @@ class InvalidMatchingError(ValueError):
 
 
 class EnumerationCapError(ValueError):
-    """Exact enumeration refused; market too large."""
+    """Exact RSD refused: the market has more agents than the cap."""
 
 
 class Proposing(Enum):
@@ -141,6 +142,36 @@ def da(profile: PreferenceProfile, proposing: Proposing = Proposing.WORKERS
     return DeterministicMatching(pairs, profile.n, profile.m)
 
 
+def _partner_lists(profile: PreferenceProfile) -> list:
+    """Each agent's acceptable partners as agent ids, most preferred first."""
+    n = profile.n
+    return ([[n + f for f in o.acceptable()] for o in profile.workers]
+            + [list(o.acceptable()) for o in profile.firms])
+
+
+def _pick(partners: list, free: int):
+    """The first of `partners` whose bit is set in the mask `free`, or None."""
+    for b in partners:
+        if free >> b & 1:
+            return b
+    return None
+
+
+def _serial_pass(partners: list, priority, n: int) -> list:
+    """Serial dictatorship over agent ids: each agent, in priority order,
+    takes its first still unmatched partner.  Returns (worker, firm) pairs."""
+    free = (1 << len(partners)) - 1  # bit a set while agent a is unmatched
+    pairs = []
+    for agent in priority:
+        if not free >> agent & 1:
+            continue
+        b = _pick(partners[agent], free)
+        if b is not None:
+            free &= ~(1 << agent | 1 << b)
+            pairs.append((agent, b - n) if agent < n else (b, agent - n))
+    return pairs
+
+
 def serial_dictatorship_round(profile: PreferenceProfile, priority
                               ) -> DeterministicMatching:
     """One serial-dictatorship pass: each agent, in priority order, takes its
@@ -148,68 +179,61 @@ def serial_dictatorship_round(profile: PreferenceProfile, priority
     n, m = profile.n, profile.m
     if sorted(priority) != list(range(n + m)):
         raise ValueError("priority must be a permutation of all n+m agents")
-    matched_w = [False] * n
-    matched_f = [False] * m
-    pairs = []
-    for agent in priority:
-        if agent < n:
-            w = agent
-            if matched_w[w]:
-                continue
-            for f in profile.workers[w].acceptable():
-                if not matched_f[f]:
-                    pairs.append((w, f))
-                    matched_w[w] = True
-                    matched_f[f] = True
-                    break
-        else:
-            f = agent - n
-            if matched_f[f]:
-                continue
-            for w in profile.firms[f].acceptable():
-                if not matched_w[w]:
-                    pairs.append((w, f))
-                    matched_w[w] = True
-                    matched_f[f] = True
-                    break
+    pairs = _serial_pass(_partner_lists(profile), [int(a) for a in priority], n)
     return DeterministicMatching(frozenset(pairs), n, m)
 
 
 def rsd_exact(profile: PreferenceProfile, cap: int = DEFAULT_RSD_CAP
               ) -> RandomizedMatching:
-    """Exact RSD marginals: average over all (n+m)! priority orders."""
+    """Exact RSD marginals: the share of the (n+m)! priority orders under
+    which each pair forms.
+
+    A pass depends only on the state (agents yet to act, agents unmatched):
+    the next actor is any agent yet to act, and a matched agent's later turn
+    is a no-op.  `orders` counts, for each pair, how many orders of the k
+    agents yet to act form it, memoized per state within this call.  The
+    counts are exact integers, so the one division by (n+m)! at the end
+    gives the same bits as counting over every order."""
     n, m = profile.n, profile.m
     if n + m > cap:
         raise EnumerationCapError(
-            f"(n+m)! = {math.factorial(n + m)} priority orders exceeds cap"
-            f" (n+m={n + m} > {cap}); use rsd_monte_carlo")
-    w_pref = [list(o.acceptable()) for o in profile.workers]
-    f_pref = [list(o.acceptable()) for o in profile.firms]
-    counts = np.zeros((n, m), dtype=np.float64)
-    for priority in itertools.permutations(range(n + m)):
-        matched_w = [False] * n
-        matched_f = [False] * m
-        for agent in priority:
-            if agent < n:
-                if matched_w[agent]:
-                    continue
-                for f in w_pref[agent]:
-                    if not matched_f[f]:
-                        counts[agent, f] += 1.0
-                        matched_w[agent] = True
-                        matched_f[f] = True
-                        break
+            f"exact RSD is limited to n+m <= {cap} agents (n+m={n + m});"
+            " use rsd_monte_carlo")
+    partners = _partner_lists(profile)
+    fact = [math.factorial(k) for k in range(n + m + 1)]
+    memo = {}
+
+    def orders(todo: int, free: int) -> list:
+        key = todo << (n + m) | free
+        counts = memo.get(key)
+        if counts is not None:
+            return counts
+        k = todo.bit_count()
+        counts = [0] * (n * m)
+        for a in range(n + m):  # a takes the first turn in (k-1)! orders
+            if not todo >> a & 1:
+                continue
+            b = _pick(partners[a], free)
+            if b is None:
+                sub_todo, sub_free = todo & ~(1 << a), free
             else:
-                f = agent - n
-                if matched_f[f]:
-                    continue
-                for w in f_pref[f]:
-                    if not matched_w[w]:
-                        counts[w, f] += 1.0
-                        matched_w[w] = True
-                        matched_f[f] = True
-                        break
-    return RandomizedMatching(counts / math.factorial(n + m))
+                gone = ~(1 << a | 1 << b)
+                sub_todo, sub_free = todo & gone, free & gone
+                w, f = (a, b - n) if a < n else (b, a - n)
+                counts[w * m + f] += fact[k - 1]
+            if sub_todo:
+                # each order of sub_todo stands for this many orders of the
+                # k-1 agents after a: b's turn, if still to come, is a no-op
+                scale = fact[k - 1] // fact[sub_todo.bit_count()]
+                for i, c in enumerate(orders(sub_todo, sub_free)):
+                    if c:
+                        counts[i] += scale * c
+        memo[key] = counts
+        return counts
+
+    everyone = (1 << (n + m)) - 1
+    counts = np.array(orders(everyone, everyone), dtype=np.float64)
+    return RandomizedMatching(counts.reshape(n, m) / fact[n + m])
 
 
 def rsd_monte_carlo(profile: PreferenceProfile, samples: int,
@@ -219,11 +243,10 @@ def rsd_monte_carlo(profile: PreferenceProfile, samples: int,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     n, m = profile.n, profile.m
+    partners = _partner_lists(profile)
     counts = np.zeros((n, m), dtype=np.float64)
     for _ in range(samples):
-        priority = rng.permutation(n + m)
-        matching = serial_dictatorship_round(profile, list(priority))
-        for w, f in matching.pairs:
+        for w, f in _serial_pass(partners, rng.permutation(n + m).tolist(), n):
             counts[w, f] += 1.0
     return RandomizedMatching(np.clip(counts / samples, 0.0, 1.0))
 

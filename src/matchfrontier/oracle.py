@@ -1,5 +1,5 @@
 """Brute-force ground truth: matching enumeration, blocking pairs, stable
-sets, and black-box FOSD auditing.
+sets, RSD by enumerating priority orders, and black-box FOSD auditing.
 
 Everything here is written in deliberately plain nested-loop style and
 shares no arithmetic with the metrics module, so the two can check each
@@ -8,12 +8,15 @@ other.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .prefs import (BOTTOM, AgentId, PreferenceProfile, Side,
                     enumerate_misreports)
-from .mechanisms import DeterministicMatching
+from .mechanisms import DeterministicMatching, RandomizedMatching
 
 MAX_ENUM_SIDE = 5
 
@@ -72,6 +75,39 @@ def exhaustive_stable_set(profile: PreferenceProfile) -> list:
     """All stable, individually rational matchings."""
     return [mu for mu in enumerate_matchings(profile.n, profile.m)
             if not find_blocking_pairs(mu, profile)]
+
+
+def rsd_by_enumeration(profile: PreferenceProfile) -> RandomizedMatching:
+    """RSD marginals by running serial dictatorship under every one of the
+    (n+m)! priority orders (workers 0..n-1, firms n..n+m-1) and averaging."""
+    n, m = profile.n, profile.m
+    w_pref = [list(o.acceptable()) for o in profile.workers]
+    f_pref = [list(o.acceptable()) for o in profile.firms]
+    counts = np.zeros((n, m), dtype=np.float64)
+    for priority in itertools.permutations(range(n + m)):
+        matched_w = [False] * n
+        matched_f = [False] * m
+        for agent in priority:
+            if agent < n:
+                if matched_w[agent]:
+                    continue
+                for f in w_pref[agent]:
+                    if not matched_f[f]:
+                        counts[agent, f] += 1.0
+                        matched_w[agent] = True
+                        matched_f[f] = True
+                        break
+            else:
+                f = agent - n
+                if matched_f[f]:
+                    continue
+                for w in f_pref[f]:
+                    if not matched_w[w]:
+                        counts[w, f] += 1.0
+                        matched_w[w] = True
+                        matched_f[f] = True
+                        break
+    return RandomizedMatching(counts / math.factorial(n + m))
 
 
 def _cumulative(r, side: Side, index: int, true_order, threshold: int) -> float:

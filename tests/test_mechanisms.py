@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from matchfrontier import mechanisms, oracle
 from matchfrontier.mechanisms import (DEFAULT_RSD_CAP, DeterministicMatching,
                                       EnumerationCapError,
-                                      InvalidMatchingError, MechanismKind,
+                                      InvalidMatchingError, LiftedMechanism,
+                                      MechanismKind,
                                       Proposing, RandomizedMatching,
                                       bvn_decompose, da, format_matching,
                                       lift_mechanism, parse_matching,
@@ -15,7 +17,6 @@ from matchfrontier.mechanisms import (DEFAULT_RSD_CAP, DeterministicMatching,
 from matchfrontier.prefs import (BOTTOM, DistributionConfig, DistributionKind,
                                  PreferenceOrder, parse_profile,
                                  sample_profiles)
-from matchfrontier import oracle
 
 
 def random_profiles(count, n=3, m=3, p_trunc=0.3, seed=0):
@@ -118,6 +119,43 @@ class TestRsd:
             for priority in itertools.permutations(range(4)):
                 acc += serial_dictatorship_round(profile, list(priority)).to_marginals().r
             assert np.allclose(rsd_exact(profile).r, acc / math.factorial(4), atol=1e-12)
+
+    def test_exact_example_bitwise(self, example1, rsd_expected):
+        assert np.array_equal(rsd_exact(example1).r, rsd_expected)
+
+    @pytest.mark.parametrize("cfg, count", [
+        (DistributionConfig(DistributionKind.UNCORRELATED, 3, 3, p_trunc=0.0, seed=21), 40),
+        (DistributionConfig(DistributionKind.UNCORRELATED, 3, 3, p_trunc=0.2, seed=22), 40),
+        (DistributionConfig(DistributionKind.UNCORRELATED, 3, 3, p_trunc=0.5, seed=23), 40),
+        (DistributionConfig(DistributionKind.CORRELATED, 3, 3, p_corr=0.5, seed=24), 40),
+        (DistributionConfig(DistributionKind.UNCORRELATED, 2, 3, seed=25), 30),
+        (DistributionConfig(DistributionKind.UNCORRELATED, 3, 2, seed=26), 30),
+        (DistributionConfig(DistributionKind.UNCORRELATED, 1, 3, seed=27), 20),
+        (DistributionConfig(DistributionKind.UNCORRELATED, 2, 2, seed=28), 20),
+        (DistributionConfig(DistributionKind.UNCORRELATED, 4, 4, seed=29), 2),
+        (DistributionConfig(DistributionKind.CORRELATED, 4, 4, p_corr=0.25, seed=30), 2),
+    ])
+    def test_exact_bitwise_equals_enumeration(self, cfg, count):
+        for profile in sample_profiles(cfg, count):
+            assert np.array_equal(rsd_exact(profile).r,
+                                  oracle.rsd_by_enumeration(profile).r)
+
+    def test_exact_repeatable(self, example1):
+        profile = random_profiles(1, n=4, m=4, seed=31)[0]
+        for p in (example1, profile):
+            assert np.array_equal(rsd_exact(p).r, rsd_exact(p).r)
+
+    def test_lifted_evaluate_calls_exact_once(self, example1, monkeypatch):
+        calls = []
+        inner = mechanisms.rsd_exact
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(mechanisms, "rsd_exact", counted)
+        LiftedMechanism(MechanismKind.RSD).evaluate(example1)
+        assert len(calls) == 1
 
     def test_monte_carlo_converges(self, example1, rsd_expected):
         rng = np.random.Generator(np.random.Philox(key=[1, 2]))

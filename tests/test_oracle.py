@@ -76,6 +76,18 @@ class TestStableSet:
         assert stable[0].pairs == frozenset({(0, 0), (1, 1)})
 
 
+class TestRsdByEnumeration:
+    def test_example_matrix(self, example1, rsd_expected):
+        assert np.array_equal(oracle.rsd_by_enumeration(example1).r, rsd_expected)
+
+    def test_one_sided_acceptability(self):
+        # w1 finds no firm acceptable but stays free for f1, so f1 gets w1
+        # whenever it acts before w2 (half the orders); else w2 takes f1
+        profile = parse_profile("_,f1;f1,_|w1,w2,_")
+        assert np.array_equal(oracle.rsd_by_enumeration(profile).r,
+                              [[0.5], [0.5]])
+
+
 class TestFosdAudit:
     def test_wda_example_gains(self, example1):
         gains = oracle.fosd_audit(lift_mechanism(MechanismKind.WDA), example1)
