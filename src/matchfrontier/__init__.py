@@ -9,7 +9,7 @@ from .mechanisms import (DeterministicMatching, RandomizedMatching,
                          lift_mechanism, rsd_exact)
 from .metrics import EvalReport, evaluate, regret_profile, stv_profile
 from .net import NetworkDims, NetworkMechanism, load_checkpoint, save_checkpoint
-from .train import TrainConfig, desk_config, train
+from .train import TrainConfig, train
 
 __version__ = "0.1.0"
 
@@ -20,5 +20,5 @@ __all__ = [
     "RandomizedMatching", "MechanismKind", "Proposing", "bvn_decompose", "da",
     "lift_mechanism", "rsd_exact", "EvalReport", "evaluate", "regret_profile",
     "stv_profile", "NetworkDims", "NetworkMechanism", "load_checkpoint",
-    "save_checkpoint", "TrainConfig", "desk_config", "train", "__version__",
+    "save_checkpoint", "TrainConfig", "train", "__version__",
 ]

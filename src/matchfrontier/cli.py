@@ -47,7 +47,7 @@ _CONFIG_KEYS = {
     "seed": int, "lambda": float, "batch_size": int, "iterations": int,
     "base_lr": float, "lr_milestones": str, "weight_decay": float,
     "eval_every": int, "test_size": int, "hidden_layers": int,
-    "hidden_units": int, "misreport_cap": int,
+    "hidden_units": int,
 }
 
 PRESETS = {
@@ -79,7 +79,7 @@ _DEFAULTS = {
     "seed": 0, "lambda": 0.5, "batch_size": 1024, "iterations": 50_000,
     "base_lr": 0.005, "lr_milestones": "10000,25000", "weight_decay": 0.01,
     "eval_every": 2000, "test_size": 2048, "hidden_layers": 4,
-    "hidden_units": 256, "misreport_cap": 6,
+    "hidden_units": 256,
 }
 
 
@@ -147,7 +147,6 @@ def train_config_from_settings(settings, checkpoint_path, log_path="") -> TrainC
                        weight_decay=settings["weight_decay"],
                        eval_every=settings["eval_every"],
                        test_size=settings["test_size"],
-                       misreport_cap=settings["misreport_cap"],
                        checkpoint_path=checkpoint_path, log_path=log_path)
 
 
@@ -231,7 +230,7 @@ def cmd_eval(args) -> int:
     profiles = read_profiles(args.profiles)
     if not profiles:
         raise ConfigError(f"no profiles in {args.profiles}")
-    report = metrics.evaluate(mech, profiles, cap=args.misreport_cap)
+    report = metrics.evaluate(mech, profiles)
     label = args.label or getattr(mech, "label", "mechanism")
     row = eval_row(label, lam, report)
     print(",".join(EVAL_HEADER))
@@ -302,7 +301,6 @@ def cmd_sweep(args) -> int:
 
     dist = dist_from_settings(settings)
     heldout = sample_profiles(dist, settings["test_size"], lane=HELDOUT_LANE)
-    cap = settings["misreport_cap"]
 
     rows = []
     failures = []
@@ -314,7 +312,7 @@ def cmd_sweep(args) -> int:
             if stale:
                 raise ConfigError(f"{ckpt} does not match the settings: "
                                   f"{', '.join(stale)}; remove it to retrain")
-            report = metrics.evaluate(NetworkMechanism(params, dims), heldout, cap=cap)
+            report = metrics.evaluate(NetworkMechanism(params, dims), heldout)
             rows.append(("learned", lam, report))
         except Exception as err:  # keep sweeping; record the failure
             failures.append((lam, err))
@@ -322,7 +320,7 @@ def cmd_sweep(args) -> int:
 
     baseline_reports = {}
     for label in BASELINE_LABELS:
-        report = metrics.evaluate(lift_mechanism(MechanismKind(label)), heldout, cap=cap)
+        report = metrics.evaluate(lift_mechanism(MechanismKind(label)), heldout)
         baseline_reports[label] = report
         rows.append((label, None, report))
     da_best_label = min(("wda", "fda"), key=lambda l: baseline_reports[l].rgt)
@@ -349,7 +347,7 @@ def cmd_audit(args) -> int:
         raise ConfigError(f"no profiles in {args.profiles}")
     worst = 0.0
     for idx, profile in enumerate(profiles):
-        gains = oracle.fosd_audit(mech, profile, cap=args.misreport_cap)
+        gains = oracle.fosd_audit(mech, profile)
         for agent, gain in gains.items():
             if gain > args.tolerance:
                 print(f"profile {idx}: {agent.side.value} {agent.index + 1} "
@@ -466,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles", required=True)
     p.add_argument("--out", help="CSV to append the row to")
     p.add_argument("--label")
-    p.add_argument("--misreport-cap", type=int, default=6)
     p.add_argument("--matchings-out", help="write one sampled matching per profile here")
     p.add_argument("--seed", type=int, help="seed for sampling --matchings-out")
     p.set_defaults(func=cmd_eval)
@@ -483,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mechanism")
     p.add_argument("--profiles", required=True)
     p.add_argument("--tolerance", type=float, default=1e-9)
-    p.add_argument("--misreport-cap", type=int, default=6)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("decompose", help="BvN-decompose mechanism outputs")

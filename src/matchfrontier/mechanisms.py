@@ -183,8 +183,7 @@ def serial_dictatorship_round(profile: PreferenceProfile, priority
     return DeterministicMatching(frozenset(pairs), n, m)
 
 
-def rsd_exact(profile: PreferenceProfile, cap: int = DEFAULT_RSD_CAP
-              ) -> RandomizedMatching:
+def rsd_exact(profile: PreferenceProfile) -> RandomizedMatching:
     """Exact RSD marginals: the share of the (n+m)! priority orders under
     which each pair forms.
 
@@ -195,9 +194,9 @@ def rsd_exact(profile: PreferenceProfile, cap: int = DEFAULT_RSD_CAP
     counts are exact integers, so the one division by (n+m)! at the end
     gives the same bits as counting over every order."""
     n, m = profile.n, profile.m
-    if n + m > cap:
+    if n + m > DEFAULT_RSD_CAP:
         raise EnumerationCapError(
-            f"exact RSD is limited to n+m <= {cap} agents (n+m={n + m});"
+            f"exact RSD is limited to n+m <= {DEFAULT_RSD_CAP} agents (n+m={n + m});"
             " use rsd_monte_carlo")
     partners = _partner_lists(profile)
     fact = [math.factorial(k) for k in range(n + m + 1)]
@@ -355,11 +354,9 @@ class MechanismKind(Enum):
 class LiftedMechanism:
     """Uniform profile -> RandomizedMatching interface over the baselines."""
 
-    def __init__(self, kind: MechanismKind, rsd_cap: int = DEFAULT_RSD_CAP,
-                 mc_samples: int = 200_000):
+    def __init__(self, kind: MechanismKind, mc_samples: int = 200_000):
         self.kind = kind
         self.label = kind.value
-        self.rsd_cap = rsd_cap
         self.mc_samples = mc_samples
 
     def evaluate(self, profile: PreferenceProfile) -> RandomizedMatching:
@@ -367,8 +364,8 @@ class LiftedMechanism:
             return da(profile, Proposing.WORKERS).to_marginals()
         if self.kind is MechanismKind.FDA:
             return da(profile, Proposing.FIRMS).to_marginals()
-        if profile.n + profile.m <= self.rsd_cap:
-            return rsd_exact(profile, cap=self.rsd_cap)
+        if profile.n + profile.m <= DEFAULT_RSD_CAP:
+            return rsd_exact(profile)
         # deterministic per profile: seed the sampler from the profile text
         digest = hashlib.sha256(format_profile(profile).encode()).digest()
         key = [int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:16], "little")]

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prefs import (AgentId, EncodedProfile, PreferenceProfile, Side, encode,
-                    enumerate_misreports)
+from .prefs import (AgentId, EncodedProfile, PreferenceProfile, Side,
+                    encode_many, enumerate_misreports)
 from .mechanisms import Proposing, RandomizedMatching, da
 from .net import NetworkMechanism
 
@@ -87,8 +87,7 @@ def cumulative_prob(r: RandomizedMatching, order, agent: AgentId,
     return float(total)
 
 
-def regret_agent(mech, profile: PreferenceProfile, agent: AgentId,
-                 cap: int = 6) -> float:
+def regret_agent(mech, profile: PreferenceProfile, agent: AgentId) -> float:
     """Max FOSD cumulative gain for one agent over all enumerated
     misreports and all acceptable thresholds, floored at 0.  Thresholds and
     prefix sets come from the agent's true order."""
@@ -100,7 +99,7 @@ def regret_agent(mech, profile: PreferenceProfile, agent: AgentId,
     r_truth = mech.evaluate(profile)
     truth_cum = {t: cumulative_prob(r_truth, order, agent, t) for t in thresholds}
     best = 0.0
-    for misreport in enumerate_misreports(agent.side, size, cap=cap):
+    for misreport in enumerate_misreports(agent.side, size):
         r_mis = mech.evaluate(profile.with_order(agent, misreport))
         for t in thresholds:
             gain = cumulative_prob(r_mis, order, agent, t) - truth_cum[t]
@@ -108,11 +107,11 @@ def regret_agent(mech, profile: PreferenceProfile, agent: AgentId,
     return best
 
 
-def regret_profile(mech, profile: PreferenceProfile, cap: int = 6) -> float:
+def regret_profile(mech, profile: PreferenceProfile) -> float:
     """Two-sided average regret: 1/2 (worker mean + firm mean)."""
-    worker_mean = np.mean([regret_agent(mech, profile, AgentId(Side.WORKER, w), cap)
+    worker_mean = np.mean([regret_agent(mech, profile, AgentId(Side.WORKER, w))
                            for w in range(profile.n)])
-    firm_mean = np.mean([regret_agent(mech, profile, AgentId(Side.FIRM, f), cap)
+    firm_mean = np.mean([regret_agent(mech, profile, AgentId(Side.FIRM, f))
                          for f in range(profile.m)])
     return float(0.5 * (worker_mean + firm_mean))
 
@@ -156,7 +155,7 @@ def entropy(r: RandomizedMatching) -> float:
     return float(h_workers / (2 * n) + h_firms / (2 * m))
 
 
-def evaluate(mech, profiles, cap: int = 6) -> EvalReport:
+def evaluate(mech, profiles) -> EvalReport:
     """Arithmetic means of all per-profile metrics over a profile set.
     Regret uses full misreport enumeration; for a network, stability
     violation and regret come from the batched training search, which
@@ -167,20 +166,19 @@ def evaluate(mech, profiles, cap: int = 6) -> EvalReport:
     if isinstance(mech, NetworkMechanism):
         from .train import evaluate_network, misreport_tables  # train imports metrics
         stv, rgt, marginals = evaluate_network(mech.params, mech.dims, profiles,
-                                               misreport_tables(mech.dims, cap))
+                                               misreport_tables(mech.dims))
         stv, rgt = stv.tolist(), rgt.tolist()
     stv_sum = rgt_sum = irv_sum = wel_sum = sim_sum = ent_sum = 0.0
-    for idx, profile in enumerate(profiles):
+    for idx, (profile, enc) in enumerate(zip(profiles, encode_many(profiles))):
         try:
             r = mech.evaluate(profile) if marginals is None \
                 else RandomizedMatching(marginals[idx])
-            enc = encode(profile)
             stv_sum += stv_profile(r, enc) if stv is None else stv[idx]
             irv_sum += irv_profile(r, enc)
             wel_sum += welfare_profile(r, enc)
             sim_sum += similarity(r, profile)
             ent_sum += entropy(r)
-            rgt_sum += regret_profile(mech, profile, cap) if rgt is None else rgt[idx]
+            rgt_sum += regret_profile(mech, profile) if rgt is None else rgt[idx]
         except Exception as err:
             raise RuntimeError(f"evaluation failed at profile {idx}") from err
     count = len(profiles)

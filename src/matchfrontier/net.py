@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prefs import EncodedProfile, PreferenceProfile, encode
+from .prefs import PreferenceProfile, encode, encode_arrays
 from .mechanisms import RandomizedMatching
 
 LEAKY_SLOPE = 0.01
@@ -72,17 +72,19 @@ def init_params(dims: NetworkDims, seed: int, zero: bool = False) -> list:
     return params
 
 
-def build_mask(profile: PreferenceProfile) -> np.ndarray:
-    """(n+1) x (m+1) 0/1 mask: zero exactly where the pair is unacceptable
-    to either side; the unmatched row and column always pass."""
-    n, m = profile.n, profile.m
-    beta = np.ones((n + 1, m + 1))
-    for w in range(n):
-        for f in range(m):
-            if not (profile.workers[w].is_acceptable(f)
-                    and profile.firms[f].is_acceptable(w)):
-                beta[w, f] = 0.0
+def acceptability_mask(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(..., n+1, m+1) 0/1 mask from encodings (..., n, m): zero exactly
+    where the pair is unacceptable to either side; the unmatched row and
+    column always pass."""
+    n, m = p.shape[-2:]
+    beta = np.ones(p.shape[:-2] + (n + 1, m + 1))
+    beta[..., :n, :m] = (p > 0.0) & (q > 0.0)
     return beta
+
+
+def build_mask(profile: PreferenceProfile) -> np.ndarray:
+    enc = encode(profile)
+    return acceptability_mask(enc.p, enc.q)
 
 
 def forward_batch(params, dims: NetworkDims, x: np.ndarray, beta: np.ndarray
@@ -129,13 +131,6 @@ def _first_nonfinite_layer(params, x: np.ndarray) -> int:
     return len(params) - 1
 
 
-def forward(params, dims: NetworkDims, enc: EncodedProfile, beta: np.ndarray
-            ) -> RandomizedMatching:
-    x = np.concatenate([enc.p.reshape(-1), enc.q.reshape(-1)])[None, :]
-    r = forward_batch(params, dims, x, beta[None, :, :])
-    return RandomizedMatching(r[0])
-
-
 class NetworkMechanism:
     """Mechanism-interface wrapper around fixed network parameters."""
 
@@ -144,17 +139,19 @@ class NetworkMechanism:
         self.dims = dims
         self.label = label
 
+    def _marginals(self, profiles) -> np.ndarray:
+        P, Q, _ = encode_arrays(profiles, self.dims.n, self.dims.m)
+        B = len(profiles)
+        x = np.concatenate([P.reshape(B, -1), Q.reshape(B, -1)], axis=1)
+        return forward_batch(self.params, self.dims, x, acceptability_mask(P, Q))
+
     def evaluate(self, profile: PreferenceProfile) -> RandomizedMatching:
-        return forward(self.params, self.dims, encode(profile), build_mask(profile))
+        return RandomizedMatching(self._marginals([profile])[0])
 
     def evaluate_many(self, profiles) -> list:
         if not profiles:
             return []
-        xs = np.stack([np.concatenate([e.p.reshape(-1), e.q.reshape(-1)])
-                       for e in (encode(p) for p in profiles)])
-        betas = np.stack([build_mask(p) for p in profiles])
-        rs = forward_batch(self.params, self.dims, xs, betas)
-        return [RandomizedMatching(rs[i]) for i in range(len(profiles))]
+        return [RandomizedMatching(r) for r in self._marginals(profiles)]
 
     def __call__(self, profile):
         return self.evaluate(profile)

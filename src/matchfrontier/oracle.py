@@ -125,7 +125,7 @@ def _cumulative(r, side: Side, index: int, true_order, threshold: int) -> float:
     return total
 
 
-def fosd_audit(mech, profile: PreferenceProfile, cap: int = 6) -> dict:
+def fosd_audit(mech, profile: PreferenceProfile) -> dict:
     """Per-agent worst-case FOSD gain over all misreports and acceptable
     thresholds.  Zero everywhere iff no enumerated misreport first-order
     stochastically defeats truth on this profile."""
@@ -137,7 +137,7 @@ def fosd_audit(mech, profile: PreferenceProfile, cap: int = 6) -> dict:
         best = 0.0
         thresholds = list(true_order.acceptable())
         if thresholds:
-            for misreport in enumerate_misreports(agent.side, size, cap=cap):
+            for misreport in enumerate_misreports(agent.side, size):
                 r_mis = mech.evaluate(profile.with_order(agent, misreport)).r
                 for threshold in thresholds:
                     gain = (_cumulative(r_mis, agent.side, agent.index, true_order, threshold)

@@ -19,7 +19,7 @@ import numpy as np
 BOTTOM = -1
 
 # Factorial cap for misreport enumeration: (size+1)! orders, refuse above this.
-DEFAULT_ENUM_CAP = 6
+ENUM_CAP = 6
 
 
 class Side(Enum):
@@ -38,7 +38,7 @@ class AgentId:
 
 
 class EnumerationOverflowError(Exception):
-    """Misreport enumeration would exceed the configured factorial cap."""
+    """Misreport enumeration would exceed the factorial cap."""
 
 
 @dataclass(frozen=True)
@@ -138,44 +138,72 @@ class EncodedProfile:
     q: np.ndarray  # (n, m)
 
 
+def rank_arrays(orders, size: int):
+    """The one profile encoder's pass over the orders: rank[i, x] is
+    partner x's position in order i (BOTTOM counted), cut[i, 0] the
+    position of BOTTOM.  Every order must rank `size` partners."""
+    try:
+        rankings = np.array([order.ranking for order in orders],
+                            dtype=np.int64).reshape(len(orders), size + 1)
+    except ValueError:
+        for order in orders:
+            order.validate(size)  # names both sizes
+        raise
+    position = rankings.argsort(axis=1)  # position[i, x + 1] of value x
+    rankings.sort(axis=1)
+    if (rankings != np.arange(BOTTOM, size)).any():
+        raise ValueError("ranking is not a permutation of partners + BOTTOM")
+    return position[:, 1:], position[:, :1]
+
+
+def encode_ranks(rank, cut, size: int) -> np.ndarray:
+    """Encoded utility rows from rank arrays.  The partner at position t
+    among the `size` real partners (best first) gets (size - t - u)/size if
+    acceptable and (size - 1 - t - u)/size otherwise, where u counts
+    unacceptable partners (the indicator-sum definition); both equal
+    (cut - rank)/size."""
+    return (cut - rank) / size
+
+
+def encode_arrays(profiles, n: int, m: int):
+    """Encodings P and Q, both (B, n, m), of n x m profiles, and the rank
+    arrays of the workers' orders, (B*n, m) and (B*n, 1), and of the firms'
+    orders, (B*m, n) and (B*m, 1), they come from."""
+    B = len(profiles)
+    rank_w, cut_w = rank_arrays([o for p in profiles for o in p.workers], m)
+    rank_f, cut_f = rank_arrays([o for p in profiles for o in p.firms], n)
+    P = encode_ranks(rank_w, cut_w, m).reshape(B, n, m)
+    Q = encode_ranks(rank_f, cut_f, n).reshape(B, m, n).transpose(0, 2, 1)
+    return P, np.ascontiguousarray(Q), (rank_w, cut_w, rank_f, cut_f)
+
+
 def encode_order(order: PreferenceOrder, size: int) -> np.ndarray:
-    """Encoded utility row for one order: partner at position t among the
-    `size` real partners (best first) gets (size - t - u)/size if acceptable
-    and (size - 1 - t - u)/size otherwise, where u counts unacceptable
-    partners.  Equivalent to the indicator-sum definition."""
-    order.validate(size)
-    u = len(order.unacceptable())
-    row = np.empty(size, dtype=np.float64)
-    t = 0
-    for x in order.ranking:
-        if x == BOTTOM:
-            continue
-        if order.is_acceptable(x):
-            row[x] = (size - t - u) / size
-        else:
-            row[x] = (size - 1 - t - u) / size
-        t += 1
-    return row
+    """Encoded utility row for one order."""
+    return encode_ranks(*rank_arrays([order], size), size)[0]
 
 
 def encode(profile: PreferenceProfile) -> EncodedProfile:
-    n, m = profile.n, profile.m
-    p = np.empty((n, m), dtype=np.float64)
-    q = np.empty((n, m), dtype=np.float64)
-    for w, order in enumerate(profile.workers):
-        p[w, :] = encode_order(order, m)
-    for f, order in enumerate(profile.firms):
-        q[:, f] = encode_order(order, n)
-    return EncodedProfile(p=p, q=q)
+    P, Q, _ = encode_arrays([profile], profile.n, profile.m)
+    return EncodedProfile(p=P[0], q=Q[0])
 
 
-def enumerate_misreports(side: Side, size: int, cap: int = DEFAULT_ENUM_CAP) -> list:
+def encode_many(profiles) -> list:
+    """encode() of every profile, one vectorized pass per market shape."""
+    out = {}
+    for shape in {(p.n, p.m) for p in profiles}:
+        group = [i for i, p in enumerate(profiles) if (p.n, p.m) == shape]
+        P, Q, _ = encode_arrays([profiles[i] for i in group], *shape)
+        out.update((i, EncodedProfile(p=P[j], q=Q[j])) for j, i in enumerate(group))
+    return [out[i] for i in range(len(profiles))]
+
+
+def enumerate_misreports(side: Side, size: int) -> list:
     """All (size+1)! strict orders over the opposite side plus BOTTOM, in
     deterministic lexicographic order (partners ascending, BOTTOM last in
     the base sequence)."""
-    if size + 1 > cap:
+    if size + 1 > ENUM_CAP:
         raise EnumerationOverflowError(
-            f"enumerating {math.factorial(size + 1)} orders exceeds cap {cap}!"
+            f"enumerating {math.factorial(size + 1)} orders exceeds cap {ENUM_CAP}!"
             f" (size+1={size + 1})")
     base = list(range(size)) + [BOTTOM]
     return [PreferenceOrder(perm) for perm in itertools.permutations(base)]

@@ -20,10 +20,9 @@ from . import autodiff, net
 from .autodiff import NumericError, OptimizerState, Tape, adam_step, backward, lr_schedule
 from .metrics import stv_batch
 from .net import NetworkDims, NumericOverflowError, init_params
-from .prefs import (BOTTOM, AgentId, DistributionConfig, PreferenceOrder,
-                    PreferenceProfile, Side, encode_order,
-                    enumerate_misreports, profile_stream, sample_profile,
-                    sample_profiles)
+from .prefs import (DistributionConfig, Side, encode_arrays, encode_ranks,
+                    enumerate_misreports, profile_stream, rank_arrays,
+                    sample_profile, sample_profiles)
 
 TRAIN_LANE = 1
 HELDOUT_LANE = 2
@@ -41,30 +40,23 @@ _EVAL_BLOCK = 128
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Every field is required: the defaults live in cli's settings table."""
     lam: float
     dims: NetworkDims
     dist: DistributionConfig
-    batch_size: int = 1024
-    iterations: int = 50_000
-    base_lr: float = 0.005
-    lr_milestones: tuple = (10_000, 25_000)
-    weight_decay: float = 0.01
-    eval_every: int = 2_000
-    test_size: int = 2_048
-    misreport_cap: int = 6
-    checkpoint_path: str = "matching.ckpt"
-    log_path: str = ""
+    batch_size: int
+    iterations: int
+    base_lr: float
+    lr_milestones: tuple
+    weight_decay: float
+    eval_every: int
+    test_size: int
+    checkpoint_path: str
+    log_path: str
 
     def __post_init__(self):
         if not (0.0 <= self.lam <= 1.0):
             raise ValueError("lambda must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class DefeatingReport:
-    agent: AgentId
-    report: PreferenceOrder
-    gain: float
 
 
 # ---------------------------------------------------------------------------
@@ -77,34 +69,22 @@ class _MisreportTable:
     acc: np.ndarray      # (K, size) acceptability as 0/1
 
 
-def _misreport_table(side: Side, size: int, cap: int) -> _MisreportTable:
-    orders = enumerate_misreports(side, size, cap=cap)
-    rows = np.stack([encode_order(o, size) for o in orders])
+def _misreport_table(side: Side, size: int) -> _MisreportTable:
+    orders = enumerate_misreports(side, size)
+    rows = encode_ranks(*rank_arrays(orders, size), size)
     acc = (rows > 0.0).astype(np.float64)
     return _MisreportTable(tuple(orders), rows, acc)
 
 
-def misreport_tables(dims: NetworkDims, cap: int):
+def misreport_tables(dims: NetworkDims):
     """The (worker, firm) misreport tables of a market."""
-    return (_misreport_table(Side.WORKER, dims.m, cap),
-            _misreport_table(Side.FIRM, dims.n, cap))
+    return (_misreport_table(Side.WORKER, dims.m),
+            _misreport_table(Side.FIRM, dims.n))
 
 
 def _side_weights(n: int, m: int) -> np.ndarray:
     """Per-agent regret weights: each side averaged, the sides halved."""
     return np.concatenate([np.full(n, 1.0 / (2 * n)), np.full(m, 1.0 / (2 * m))])
-
-
-def _rank_arrays(orders, size: int):
-    """One pass over each order's ranking: rank[i, x] is partner x's
-    position in order i (BOTTOM counted), cut[i] the position of BOTTOM."""
-    rankings = np.array([order.ranking for order in orders],
-                        dtype=np.int64).reshape(len(orders), size + 1)
-    position = np.argsort(rankings, axis=1)  # position[i, x + 1] of value x
-    if not np.array_equal(np.take_along_axis(rankings, position, axis=1),
-                          np.broadcast_to(np.arange(BOTTOM, size), rankings.shape)):
-        raise ValueError("ranking is not a permutation of partners + BOTTOM")
-    return position[:, 1:], position[:, 0]
 
 
 class _Batch:
@@ -120,16 +100,10 @@ class _Batch:
         A = n + m
         TH = max(n, m)
         self.profiles = profiles
-        rank_w, cut_w = _rank_arrays([o for p in profiles for o in p.workers], m)
-        rank_f, cut_f = _rank_arrays([o for p in profiles for o in p.firms], n)
+        self.P, self.Q, (rank_w, cut_w, rank_f, cut_f) = encode_arrays(profiles, n, m)
+        self.beta = net.acceptability_mask(self.P, self.Q)
         rank_w, cut_w = rank_w.reshape(B, n, m), cut_w.reshape(B, n, 1)
         rank_f, cut_f = rank_f.reshape(B, m, n), cut_f.reshape(B, m, 1)
-        # encode_order's (size - t - u) / size, with t the partner's position
-        # among real partners and u = size - cut, is (cut - rank) / size
-        self.P = (cut_w - rank_w) / m
-        self.Q = np.ascontiguousarray(((cut_f - rank_f) / n).transpose(0, 2, 1))
-        self.beta = np.ones((B, n + 1, m + 1))
-        self.beta[:, :n, :m] = (self.P > 0.0) & (self.Q > 0.0)
         # the threshold at slot t < cut is the partner ranked t; the prefix
         # set up to it is every partner ranked at or above t
         slots = np.arange(TH)
@@ -180,16 +154,16 @@ def _variant_inputs(batch: _Batch, dims: NetworkDims, tables):
     return Xv.reshape(-1, 2 * nm), Bv.reshape(-1, n + 1, m + 1), per_profile
 
 
-def _search_defeating(params, dims: NetworkDims, batch: _Batch, tables):
+def _search_defeating(params, dims: NetworkDims, batch: _Batch, tables, r_truth):
     """Per (profile, agent): best misreport index (-1 when truth wins), the
-    winning threshold slot, and the gain (0 when truth wins)."""
+    winning threshold slot, and the gain (0 when truth wins).  `r_truth`
+    holds the caller's marginals (B, n, m) of the batch's truthful inputs."""
     n, m = dims.n, dims.m
     B = len(batch.profiles)
     A = n + m
     table_w, table_f = tables
     Kw, Kf = len(table_w.orders), len(table_f.orders)
 
-    r_truth = _forward_chunked(params, dims, batch.X, batch.beta)
     cum_truth = np.einsum("bqtwf,bwf->bqt", batch.ind, r_truth)  # (B, A, TH)
 
     Xv, Bv, per_profile = _variant_inputs(batch, dims, tables)
@@ -221,20 +195,6 @@ def _search_defeating(params, dims: NetworkDims, batch: _Batch, tables):
         best_k[:, offset:offset + count] = np.where(positive, arg // TH, -1)
         best_th[:, offset:offset + count] = np.where(positive, arg % TH, 0)
     return best_k, best_th, best_gain
-
-
-def find_defeating_report(params, dims: NetworkDims, profile: PreferenceProfile,
-                          agent: AgentId, cap: int = 6) -> DefeatingReport:
-    """Max-gain defeating misreport for one agent, or truth with gain 0."""
-    tables = misreport_tables(dims, cap)
-    batch = _Batch([profile], dims)
-    best_k, _, best_gain = _search_defeating(params, dims, batch, tables)
-    a = agent.index if agent.side is Side.WORKER else dims.n + agent.index
-    k = int(best_k[0, a])
-    if k < 0:
-        return DefeatingReport(agent, profile.order_of(agent), 0.0)
-    table = tables[0] if agent.side is Side.WORKER else tables[1]
-    return DefeatingReport(agent, table.orders[k], float(best_gain[0, a]))
 
 
 # ---------------------------------------------------------------------------
@@ -303,16 +263,17 @@ def _loss_from_batch(params, dims: NetworkDims, batch: _Batch, lam: float,
     B = len(batch.profiles)
     A = n + m
 
+    tape = Tape()
+    param_nodes = [(tape.leaf(w), tape.leaf(bias)) for w, bias in params]
+    # the one truth forward: the search reads the tape's values, which equal
+    # forward_batch's bitwise for batches of up to _FORWARD_CHUNK rows
+    r_t = _forward_tape(tape, param_nodes, dims, batch.X, batch.beta)
     if selection is None:
-        best_k, best_th, _ = _search_defeating(params, dims, batch, tables)
+        best_k, best_th, _ = _search_defeating(params, dims, batch, tables, r_t.value)
     else:
         best_k, best_th = selection
 
     X_def, beta_def, ind_sel = _defeat_inputs(batch, dims, tables, best_k, best_th)
-
-    tape = Tape()
-    param_nodes = [(tape.leaf(w), tape.leaf(bias)) for w, bias in params]
-    r_t = _forward_tape(tape, param_nodes, dims, batch.X, batch.beta)
     r_d = _forward_tape(tape, param_nodes, dims,
                         X_def.reshape(B * A, -1), beta_def.reshape(B * A, n + 1, m + 1))
 
@@ -340,15 +301,15 @@ def _loss_from_batch(params, dims: NetworkDims, batch: _Batch, lam: float,
 
 
 def loss_minibatch(params, dims: NetworkDims, profiles, lam: float,
-                   cap: int = 6, selection=None) -> LossBuild:
+                   selection=None) -> LossBuild:
     """Differentiable minibatch loss.  Defeating reports are resolved at the
-    current parameters before the tape is built, or pinned by passing a
+    current parameters from the tape's truth forward, or pinned by passing a
     previous build's `selection` (useful for finite-difference checks, where
     the argmax must not move between evaluations)."""
     if not profiles:
         raise ValueError("minibatch is empty")
     return _loss_from_batch(params, dims, _Batch(profiles, dims), lam,
-                            misreport_tables(dims, cap), selection=selection)
+                            misreport_tables(dims), selection=selection)
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +323,8 @@ def evaluate_network(params, dims: NetworkDims, profiles, tables):
     stv, rgt, marginals = [], [], []
     for start in range(0, len(profiles), _EVAL_BLOCK):
         batch = _Batch(profiles[start:start + _EVAL_BLOCK], dims)
-        _, _, best_gain = _search_defeating(params, dims, batch, tables)
         r = _forward_chunked(params, dims, batch.X, batch.beta)
+        _, _, best_gain = _search_defeating(params, dims, batch, tables, r)
         stv.append(stv_batch(r, batch.P, batch.Q))
         rgt.append((best_gain * weights).sum(axis=1))
         marginals.append(r)
@@ -389,7 +350,7 @@ def train(config: TrainConfig, progress=None) -> TrainResult:
     Checkpoints at every eval point and at the end; a numeric failure
     aborts with the last good checkpoint on disk."""
     dims, dist = config.dims, config.dist
-    tables = misreport_tables(dims, config.misreport_cap)
+    tables = misreport_tables(dims)
     params = init_params(dims, seed=dist.seed)
     state = OptimizerState.for_params(params, lr=config.base_lr,
                                       weight_decay=config.weight_decay)
@@ -451,20 +412,3 @@ def train(config: TrainConfig, progress=None) -> TrainResult:
     write_log()
     checkpoint()
     return TrainResult(params=params, log=log, heldout_stv=stv, heldout_rgt=rgt)
-
-
-def desk_config(lam: float, seed: int = 1, n: int = 3, m: int = 3,
-                checkpoint_path: str = "matching.ckpt", log_path: str = "",
-                dist_kwargs=None) -> TrainConfig:
-    """Desk-scale preset: small market, 2000 iterations, batch 128."""
-    from .prefs import DistributionKind
-    kwargs = dict(kind=DistributionKind.UNCORRELATED, n=n, m=m,
-                  p_trunc=0.2, seed=seed)
-    if dist_kwargs:
-        kwargs.update(dist_kwargs)
-    dist = DistributionConfig(**kwargs)
-    return TrainConfig(lam=lam, dims=NetworkDims(n=n, m=m, R=4, J=64), dist=dist,
-                       batch_size=128, iterations=2_000, base_lr=0.005,
-                       lr_milestones=(10_000, 25_000), eval_every=500,
-                       test_size=2_048, checkpoint_path=checkpoint_path,
-                       log_path=log_path)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from matchfrontier.prefs import parse_profile
+from matchfrontier.prefs import BOTTOM, parse_profile
 
 # 3x3 market used throughout: w1: f2,f3,f1; w2: f2,f1,f3; w3: f1,f3,f2;
 # f1: w1,w2,w3; f2: w2,w3,w1; f3: w3,w1,w2 (everyone acceptable)
@@ -22,3 +22,44 @@ def example1():
 @pytest.fixture
 def rsd_expected():
     return RSD_EXPECTED.copy()
+
+
+# The per-element encoder and per-pair mask loops the vectorized encoder
+# replaced, kept as the reference it must reproduce bit for bit.
+
+def reference_encode_order(order, size):
+    order.validate(size)
+    u = len(order.unacceptable())
+    row = np.empty(size, dtype=np.float64)
+    t = 0
+    for x in order.ranking:
+        if x == BOTTOM:
+            continue
+        if order.is_acceptable(x):
+            row[x] = (size - t - u) / size
+        else:
+            row[x] = (size - 1 - t - u) / size
+        t += 1
+    return row
+
+
+def reference_encode(profile):
+    n, m = profile.n, profile.m
+    p = np.empty((n, m), dtype=np.float64)
+    q = np.empty((n, m), dtype=np.float64)
+    for w, order in enumerate(profile.workers):
+        p[w, :] = reference_encode_order(order, m)
+    for f, order in enumerate(profile.firms):
+        q[:, f] = reference_encode_order(order, n)
+    return p, q
+
+
+def reference_build_mask(profile):
+    n, m = profile.n, profile.m
+    beta = np.ones((n + 1, m + 1))
+    for w in range(n):
+        for f in range(m):
+            if not (profile.workers[w].is_acceptable(f)
+                    and profile.firms[f].is_acceptable(w)):
+                beta[w, f] = 0.0
+    return beta

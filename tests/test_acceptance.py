@@ -21,8 +21,8 @@ from matchfrontier.net import (NetworkDims, NetworkMechanism, build_mask,
 from matchfrontier.prefs import (BOTTOM, AgentId, DistributionConfig,
                                  DistributionKind, PreferenceOrder, Side,
                                  encode, encode_order, sample_profiles)
-from matchfrontier.train import (HELDOUT_LANE, _heldout_stv_rgt, desk_config,
-                                 loss_minibatch, misreport_tables)
+from matchfrontier.train import (HELDOUT_LANE, _heldout_stv_rgt, loss_minibatch,
+                                 misreport_tables)
 from matchfrontier.autodiff import backward
 
 from conftest import EXAMPLE1_TEXT, RSD_EXPECTED
@@ -59,14 +59,14 @@ def desk_heldout():
     """Per seed: the held-out profiles."""
     out = {}
     for seed in DESK_SEEDS:
-        config = desk_config(0.0, seed=seed)
+        config = traincache.desk_config(0.0, seed)
         out[seed] = sample_profiles(config.dist, config.test_size, lane=HELDOUT_LANE)
     return out
 
 
 def _learned_heldout(lam, seed, desk_heldout):
     params, dims, _, _ = load_checkpoint(traincache.ensure_checkpoint(lam, seed))
-    return _heldout_stv_rgt(params, dims, desk_heldout[seed], misreport_tables(dims, 6))
+    return _heldout_stv_rgt(params, dims, desk_heldout[seed], misreport_tables(dims))
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ import pytest
 from matchfrontier import metrics
 from matchfrontier.net import (LEAKY_SLOPE, CheckpointError, NetworkDims,
                                NetworkMechanism, NumericOverflowError,
-                               build_mask, forward, forward_batch, init_params,
+                               build_mask, forward_batch, init_params,
                                layer_shapes, load_checkpoint, save_checkpoint)
 from matchfrontier.prefs import (DistributionConfig, DistributionKind, encode,
                                  parse_profile, sample_profiles)
@@ -99,10 +99,10 @@ class TestForward:
     def test_masked_pairs_exactly_zero(self):
         dims = NetworkDims(3, 3, R=2, J=8)
         params = init_params(dims, seed=1)
+        mech = NetworkMechanism(params, dims)
         for profile in random_profiles(20, n=3, m=3, seed=7):
-            enc = encode(profile)
             beta = build_mask(profile)
-            r = forward(params, dims, enc, beta).r
+            r = mech.evaluate(profile).r
             assert np.all(r[beta[:3, :3] == 0.0] == 0.0)
 
     def test_weakly_doubly_stochastic(self):

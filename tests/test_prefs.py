@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matchfrontier.net import NetworkDims, build_mask
 from matchfrontier.prefs import (BOTTOM, DistributionConfig, DistributionKind,
                                  EnumerationOverflowError, PreferenceOrder,
-                                 Side, encode, encode_order,
-                                 enumerate_misreports, format_profile,
-                                 parse_profile, profile_stream, sample_order,
-                                 sample_profile, sample_profiles)
+                                 PreferenceProfile, Side, encode, encode_many,
+                                 encode_order, enumerate_misreports,
+                                 format_profile, parse_profile, profile_stream,
+                                 sample_order, sample_profile, sample_profiles)
+from matchfrontier.train import _Batch
+
+from conftest import reference_build_mask, reference_encode, reference_encode_order
 
 
 def order(*ranking):
@@ -76,6 +80,80 @@ class TestEncoding:
         assert np.allclose(enc.q[:, 0], [1.0, 2 / 3, 1 / 3])
 
 
+def _sampled(n, m, p_trunc=0.5, correlated=False, count=48, seed=3):
+    kind = DistributionKind.CORRELATED if correlated else DistributionKind.UNCORRELATED
+    cfg = DistributionConfig(kind, n, m, p_corr=0.5 if correlated else 0.0,
+                             p_trunc=p_trunc, seed=seed)
+    return sample_profiles(cfg, count)
+
+
+SHAPES = [(1, 1), (1, 3), (2, 3), (3, 2), (3, 3), (4, 4), (5, 5)]
+SAMPLES = [dict(p_trunc=0.0), dict(p_trunc=0.5), dict(p_trunc=1.0),
+           dict(p_trunc=0.2, correlated=True)]
+
+
+def _assert_same(got, expected):
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
+class TestOneEncoder:
+    """encode, encode_order, build_mask and _Batch all come from the one
+    rank-array encoder and must equal the old loops bit for bit."""
+
+    @pytest.mark.parametrize("n,m", SHAPES)
+    @pytest.mark.parametrize("sample", SAMPLES)
+    def test_encode_and_mask_equal_loops(self, n, m, sample):
+        profiles = _sampled(n, m, **sample)
+        many = encode_many(profiles)
+        for profile, enc_many in zip(profiles, many):
+            p, q = reference_encode(profile)
+            enc = encode(profile)
+            for got in (enc, enc_many):
+                _assert_same(got.p, p)
+                _assert_same(got.q, q)
+            _assert_same(build_mask(profile), reference_build_mask(profile))
+            for order in profile.workers:
+                _assert_same(encode_order(order, m), reference_encode_order(order, m))
+
+    @pytest.mark.parametrize("n,m", SHAPES)
+    @pytest.mark.parametrize("sample", SAMPLES)
+    def test_batch_arrays_equal_loops(self, n, m, sample):
+        profiles = _sampled(n, m, **sample)
+        batch = _Batch(profiles, NetworkDims(n, m, R=1, J=2))
+        refs = [reference_encode(p) for p in profiles]
+        _assert_same(batch.P, np.stack([p for p, _ in refs]))
+        _assert_same(batch.Q, np.stack([q for _, q in refs]))
+        _assert_same(batch.beta, np.stack([reference_build_mask(p) for p in profiles]))
+
+    def test_encode_many_mixed_shapes(self):
+        profiles = (_sampled(2, 3, count=3) + _sampled(3, 2, count=2)
+                    + _sampled(2, 3, count=2, seed=4))
+        for profile, enc in zip(profiles, encode_many(profiles)):
+            p, q = reference_encode(profile)
+            _assert_same(enc.p, p)
+            _assert_same(enc.q, q)
+
+    def test_wrong_size_names_both_sizes(self):
+        # a worker order over 2 firms in a market of 3 firms
+        profile = PreferenceProfile((order(0, 1, BOTTOM),),
+                                    tuple(order(0, BOTTOM) for _ in range(3)))
+        for call in (lambda: encode(profile), lambda: encode_many([profile]),
+                     lambda: build_mask(profile),
+                     lambda: encode_order(order(0, 1, BOTTOM), 3),
+                     lambda: _Batch([profile], NetworkDims(1, 3, R=1, J=2))):
+            with pytest.raises(ValueError, match="order ranks 2 partners, expected 3"):
+                call()
+
+    def test_non_permutation_rejected(self):
+        bad = order(0, 5, BOTTOM)   # partner 5 in a market of 2
+        with pytest.raises(ValueError, match="not a permutation"):
+            encode_order(bad, 2)
+        profile = PreferenceProfile((bad,), (order(0, BOTTOM), order(0, BOTTOM)))
+        with pytest.raises(ValueError, match="not a permutation"):
+            encode(profile)
+
+
 class TestMisreportEnumeration:
     def test_count_is_factorial(self):
         assert len(enumerate_misreports(Side.WORKER, 3)) == math.factorial(4)
@@ -88,7 +166,7 @@ class TestMisreportEnumeration:
 
     def test_cap_enforced(self):
         with pytest.raises(EnumerationOverflowError):
-            enumerate_misreports(Side.WORKER, 6, cap=6)
+            enumerate_misreports(Side.WORKER, 6)
 
     def test_deterministic_order(self):
         assert enumerate_misreports(Side.WORKER, 2) == enumerate_misreports(Side.WORKER, 2)

@@ -1,22 +1,27 @@
 import csv
 import gc
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from matchfrontier import metrics
+import traincache
+from matchfrontier import cli, metrics, net
 from matchfrontier.autodiff import Tape, backward
-from matchfrontier.net import (NetworkDims, NetworkMechanism, build_mask,
-                               init_params, load_checkpoint)
+from matchfrontier.net import (NetworkDims, NetworkMechanism, init_params,
+                               load_checkpoint)
 from matchfrontier.prefs import (AgentId, DistributionConfig,
                                  DistributionKind, PreferenceOrder,
-                                 PreferenceProfile, Side, encode,
-                                 parse_profile, sample_profiles)
+                                 PreferenceProfile, Side, parse_profile,
+                                 sample_profiles)
 from matchfrontier.train import (HELDOUT_LANE, TrainConfig, _Batch, _defeat_inputs,
-                                 _search_defeating, desk_config,
-                                 find_defeating_report, loss_minibatch,
-                                 misreport_tables, train)
+                                 _forward_chunked, _search_defeating,
+                                 loss_minibatch, misreport_tables, train)
+
+from conftest import reference_build_mask, reference_encode
+
+train_module = sys.modules["matchfrontier.train"]
 
 
 def small_dist(n=2, m=2, seed=7, p_trunc=0.3):
@@ -28,8 +33,8 @@ def small_config(lam=0.4, seed=7, **overrides):
     dims = NetworkDims(2, 2, R=2, J=6)
     base = TrainConfig(lam=lam, dims=dims, dist=small_dist(seed=seed),
                        batch_size=4, iterations=6, base_lr=0.002,
-                       lr_milestones=(4,), eval_every=3, test_size=8,
-                       checkpoint_path="", log_path="")
+                       lr_milestones=(4,), weight_decay=0.01, eval_every=3,
+                       test_size=8, checkpoint_path="", log_path="")
     return replace(base, **overrides)
 
 
@@ -76,8 +81,9 @@ class TestLossGradient:
 
 
 def reference_batch(profiles, dims):
-    """_Batch's arrays built with per-agent prefers() loops: the reference
-    the rank-array construction must reproduce bit for bit."""
+    """_Batch's arrays built with per-agent prefers() loops and the old
+    per-element encoder: the reference the rank-array construction must
+    reproduce bit for bit."""
     n, m = dims.n, dims.m
     B = len(profiles)
     A = n + m
@@ -88,10 +94,8 @@ def reference_batch(profiles, dims):
     ind = np.zeros((B, A, TH, n, m))
     thr_valid = np.zeros((B, A, TH), dtype=bool)
     for b, profile in enumerate(profiles):
-        enc = encode(profile)
-        P[b] = enc.p
-        Q[b] = enc.q
-        beta[b] = build_mask(profile)
+        P[b], Q[b] = reference_encode(profile)
+        beta[b] = reference_build_mask(profile)
         for w, order in enumerate(profile.workers):
             for t, threshold in enumerate(order.acceptable()):
                 for f in range(m):
@@ -168,8 +172,10 @@ class TestDefeatInputs:
         profiles = sample_profiles(dist, 32)
         dims = NetworkDims(n, m, R=2, J=8)
         batch = _Batch(profiles, dims)
-        tables = misreport_tables(dims, 6)
-        searched = _search_defeating(init_params(dims, seed=3), dims, batch, tables)[:2]
+        tables = misreport_tables(dims)
+        params = init_params(dims, seed=3)
+        r_truth = _forward_chunked(params, dims, batch.X, batch.beta)
+        searched = _search_defeating(params, dims, batch, tables, r_truth)[:2]
         # a random selection also reaches misreports the search never picks
         rng = np.random.default_rng(5)
         sizes = np.array([len(tables[0].orders)] * n + [len(tables[1].orders)] * m)
@@ -184,6 +190,15 @@ class TestDefeatInputs:
                 assert np.array_equal(g, e)
 
 
+def search(params, dims, profiles):
+    """_search_defeating's (best_k, best_gain) on a batch of profiles."""
+    batch = _Batch(profiles, dims)
+    r_truth = _forward_chunked(params, dims, batch.X, batch.beta)
+    best_k, _, best_gain = _search_defeating(params, dims, batch,
+                                             misreport_tables(dims), r_truth)
+    return best_k, best_gain
+
+
 class TestDefeatingSearch:
     def test_gain_equals_enumerated_regret(self):
         # the searched max gain must equal the independent per-agent regret
@@ -191,21 +206,66 @@ class TestDefeatingSearch:
         for seed in (1, 2, 3):
             params = init_params(dims, seed=seed)
             mech = NetworkMechanism(params, dims)
-            for profile in sample_profiles(small_dist(3, 3, seed=seed), 3):
-                for agent in profile.agents():
-                    report = find_defeating_report(params, dims, profile, agent)
+            profiles = sample_profiles(small_dist(3, 3, seed=seed), 3)
+            _, best_gain = search(params, dims, profiles)
+            for b, profile in enumerate(profiles):
+                for a, agent in enumerate(profile.agents()):
                     expected = metrics.regret_agent(mech, profile, agent)
-                    assert report.gain == pytest.approx(expected, abs=1e-9)
+                    assert best_gain[b, a] == pytest.approx(expected, abs=1e-9)
 
     def test_truth_returned_when_no_gain(self):
         # an agent with an empty acceptable list can never gain
         profile = parse_profile("_,f1,f2;f1,f2,_|w1,w2,_;w2,w1,_")
         dims = NetworkDims(2, 2, R=2, J=6)
-        params = init_params(dims, seed=5)
-        agent = AgentId(Side.WORKER, 0)
-        report = find_defeating_report(params, dims, profile, agent)
-        assert report.gain == 0.0
-        assert report.report == profile.workers[0]
+        best_k, best_gain = search(init_params(dims, seed=5), dims, [profile])
+        assert best_k[0, 0] == -1
+        assert best_gain[0, 0] == 0.0
+
+
+class TestTruthForward:
+    def test_one_truth_forward_per_iteration(self, monkeypatch):
+        # count the forwards (plain and tape) over the batch's truth rows
+        truth, calls = [], []
+
+        def is_truth(x):
+            return bool(truth) and (x is truth[-1] or x.base is truth[-1])
+
+        def batch(*args):
+            out = _Batch(*args)
+            truth.append(out.X)
+            return out
+
+        def forward_batch(params, dims, x, beta):
+            calls.append(is_truth(x))
+            return plain_forward(params, dims, x, beta)
+
+        def forward_tape(tape, param_nodes, dims, x, beta):
+            calls.append(is_truth(x))
+            return tape_forward(tape, param_nodes, dims, x, beta)
+
+        plain_forward, tape_forward = net.forward_batch, train_module._forward_tape
+        monkeypatch.setattr(train_module, "_Batch", batch)
+        monkeypatch.setattr(net, "forward_batch", forward_batch)
+        monkeypatch.setattr(train_module, "_forward_tape", forward_tape)
+        train(small_config(iterations=1, eval_every=0, test_size=0))
+        assert len(truth) == 1
+        assert sum(calls) == 1
+
+    def test_loss_unchanged_by_sharing(self):
+        # the tape's truth values equal the plain forward's bit for bit,
+        # so the search picks the same reports either way
+        dims = NetworkDims(3, 3, R=2, J=8)
+        params = init_params(dims, seed=2)
+        profiles = sample_profiles(small_dist(3, 3, seed=4), 16)
+        batch = _Batch(profiles, dims)
+        tables = misreport_tables(dims)
+        r_plain = _forward_chunked(params, dims, batch.X, batch.beta)
+        pinned = _search_defeating(params, dims, batch, tables, r_plain)[:2]
+        build = loss_minibatch(params, dims, profiles, 0.4)
+        for got, expected in zip(build.selection, pinned):
+            assert np.array_equal(got, expected)
+        pinned_build = loss_minibatch(params, dims, profiles, 0.4, selection=pinned)
+        assert float(build.loss.value) == float(pinned_build.loss.value)
 
 
 class TestTrainLoop:
@@ -284,11 +344,35 @@ class TestTrainLoop:
         assert float(last.loss.value) < float(first.loss.value)
 
 
+DESK_LAMBDAS = (0.0, 0.3, 0.5, 0.8, 1.0)
+
+
+def sweep_config(lam, seed):
+    """The TrainConfig `sweep --preset desk --seed <seed>` trains at lambda,
+    before the sweep drops its per-run held-out evaluation."""
+    args = cli.build_parser().parse_args(
+        ["sweep", "--preset", "desk", "--seed", str(seed), "--lambdas", str(lam),
+         "--out-dir", "unused"])
+    settings = dict(cli.resolve_settings(args), **{"lambda": lam})
+    return cli.train_config_from_settings(settings, "run.ckpt", "run.log")
+
+
 class TestDeskConfig:
     def test_preset_shape(self):
-        config = desk_config(0.5, seed=2)
+        config = traincache.desk_config(0.5, 2)
         assert config.dims == NetworkDims(3, 3, R=4, J=64)
         assert config.batch_size == 128
         assert config.iterations == 2000
         assert config.test_size == 2048
         assert config.dist.seed == 2
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_equals_sweep_preset(self, seed, monkeypatch):
+        expected = {lam: sweep_config(lam, seed) for lam in DESK_LAMBDAS}
+        for lam in DESK_LAMBDAS:
+            assert traincache.desk_config(lam, seed, "run.ckpt", "run.log") == expected[lam]
+        # MATCH_SEED overrides the sweep's seed but never the cached runs'
+        monkeypatch.setenv("MATCH_SEED", "99")
+        assert sweep_config(0.5, seed).dist.seed == 99
+        for lam in DESK_LAMBDAS:
+            assert traincache.desk_config(lam, seed, "run.ckpt", "run.log") == expected[lam]

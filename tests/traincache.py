@@ -1,8 +1,10 @@
 """Shared cache of desk-scale training runs for the acceptance suite.
 
 Checkpoints live in tests/artifacts and are keyed by (lambda, seed); a
-missing checkpoint is trained on demand.  Running this module directly
-pre-builds every run the acceptance tests need.
+missing checkpoint is trained on demand.  Each run is trained with the
+settings `sweep --preset desk --seed <seed>` resolves at that lambda; the
+MATCH_SEED environment variable does not affect them.  Running this module
+directly pre-builds every run the acceptance tests need.
 
 `python3 tests/traincache.py --check desk_s1_l0 desk_s1_l0.5` instead
 retrains the named runs into a temporary directory and compares their
@@ -32,14 +34,22 @@ def checkpoint_path(lam: float, seed: int, directory: str = ARTIFACT_DIR) -> str
     return os.path.join(directory, run_name(lam, seed) + ".ckpt")
 
 
+def desk_config(lam: float, seed: int, checkpoint: str = "", log: str = ""):
+    """The desk preset's TrainConfig at (lambda, seed), built from the CLI's
+    own settings table, not through resolve_settings, so that MATCH_SEED
+    cannot override the seed."""
+    from matchfrontier import cli
+
+    settings = {**cli._DEFAULTS, **cli.PRESETS["desk"], "lambda": lam, "seed": seed}
+    return cli.train_config_from_settings(settings, checkpoint, log)
+
+
 def train_run(lam: float, seed: int, path: str) -> None:
     """Train one desk run: checkpoint at `path`, log at `path`.log."""
-    from matchfrontier.train import desk_config, train
+    from matchfrontier.train import train
 
     tmp = path + ".partial"
-    config = desk_config(lam, seed=seed, checkpoint_path=tmp,
-                         log_path=path + ".log")
-    train(config)
+    train(desk_config(lam, seed, checkpoint=tmp, log=path + ".log"))
     os.replace(tmp, path)
 
 
