@@ -92,13 +92,15 @@ def forward_batch(params, dims: NetworkDims, x: np.ndarray, beta: np.ndarray
     """Batched forward pass: x is (B, 2nm), beta is (B, n+1, m+1); returns
     marginal matrices (B, n, m)."""
     n, m = dims.n, dims.m
+    # two ping-pong buffers (matmul cannot write into its operand), one for ReLU
+    bufs = [np.empty((x.shape[0], dims.J)) for _ in range(3)]
     h = x
-    for weight, bias in params[:-1]:
-        h = h @ weight.T
+    for layer, (weight, bias) in enumerate(params[:-1]):
+        h = np.matmul(h, weight.T, out=bufs[layer % 2])
         h += bias
         # leaky ReLU; bitwise equal to where(h > 0, h, slope * h), signed
         # zeros and NaN included
-        h = np.maximum(h, LEAKY_SLOPE * h)
+        np.maximum(h, np.multiply(h, LEAKY_SLOPE, out=bufs[2]), out=h)
     weight, bias = params[-1]
     out = h @ weight.T
     out += bias

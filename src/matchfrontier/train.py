@@ -27,12 +27,13 @@ from .prefs import (DistributionConfig, Side, encode_arrays, encode_ranks,
 TRAIN_LANE = 1
 HELDOUT_LANE = 2
 
-# rows per forward call: one chunk's activations stay in cache (1 MB at
-# J=64, 4 MB at J=256); the outputs do not depend on it
+# rows per forward call: a chunk's activations stay in cache (1 MB at J=64).
+# The outputs do not depend on it while every chunk exceeds BLAS's small-matrix
+# path (OpenBLAS 0.3.31: over 50 rows at J=64, over 30 at J=256).
 _FORWARD_CHUNK = 2048
 
 # profiles per block of evaluate_network's search, which bounds the memory
-# of the misreport variants (at 3x3 a block is 18,432 variant rows, nine
+# of the misreport variants (at 3x3 a block is 13,824 variant rows, seven
 # forward chunks).  BLAS results depend on the row count, so another block
 # size changes the evaluated numbers in the last place.
 _EVAL_BLOCK = 128
@@ -66,14 +67,13 @@ class TrainConfig:
 class _MisreportTable:
     orders: tuple        # K PreferenceOrder
     rows: np.ndarray     # (K, size) encoded utility rows
-    acc: np.ndarray      # (K, size) acceptability as 0/1
 
 
 def _misreport_table(side: Side, size: int) -> _MisreportTable:
-    orders = enumerate_misreports(side, size)
+    # accepting nobody zeroes the agent's marginals: its gain is never positive
+    orders = [o for o in enumerate_misreports(side, size) if o.acceptable()]
     rows = encode_ranks(*rank_arrays(orders, size), size)
-    acc = (rows > 0.0).astype(np.float64)
-    return _MisreportTable(tuple(orders), rows, acc)
+    return _MisreportTable(tuple(orders), rows)
 
 
 def misreport_tables(dims: NetworkDims):
@@ -117,8 +117,6 @@ class _Batch:
         self.ind[:, workers, :, workers, :] = ind_w.transpose(1, 0, 2, 3)
         self.ind[:, n + firms, :, :, firms] = ind_f.transpose(1, 0, 2, 3)
         self.thr_valid = np.concatenate([valid_w, valid_f], axis=1)
-        self.acc_w = (self.P > 0.0).astype(np.float64)
-        self.acc_f = (self.Q > 0.0).astype(np.float64)
         self.X = np.concatenate([self.P.reshape(B, -1), self.Q.reshape(B, -1)], axis=1)
 
 
@@ -128,6 +126,13 @@ def _forward_chunked(params, dims, X, beta):
         outs.append(net.forward_batch(params, dims, X[start:start + _FORWARD_CHUNK],
                                       beta[start:start + _FORWARD_CHUNK]))
     return np.concatenate(outs, axis=0)
+
+
+def _input_mask(X, n: int, m: int) -> np.ndarray:
+    """net.acceptability_mask of network inputs (..., 2nm)."""
+    lead = X.shape[:-1]
+    return net.acceptability_mask(X[..., :n * m].reshape(lead + (n, m)),
+                                  X[..., n * m:].reshape(lead + (n, m)))
 
 
 def _variant_inputs(batch: _Batch, dims: NetworkDims, tables):
@@ -141,17 +146,14 @@ def _variant_inputs(batch: _Batch, dims: NetworkDims, tables):
     nm = n * m
 
     Xv = np.repeat(batch.X, per_profile, axis=0).reshape(B, per_profile, 2 * nm)
-    Bv = np.repeat(batch.beta, per_profile, axis=0).reshape(B, per_profile, n + 1, m + 1)
     for w in range(n):
-        rows = slice(w * Kw, (w + 1) * Kw)
-        Xv[:, rows, w * m:(w + 1) * m] = table_w.rows[None, :, :]
-        Bv[:, rows, w, :m] = table_w.acc[None, :, :] * batch.acc_f[:, None, w, :]
+        Xv[:, w * Kw:(w + 1) * Kw, w * m:(w + 1) * m] = table_w.rows[None, :, :]
     q_idx = nm + np.arange(n) * m
     for f in range(m):
         rows = slice(n * Kw + f * Kf, n * Kw + (f + 1) * Kf)
         Xv[:, rows, :][:, :, q_idx + f] = table_f.rows[None, :, :]
-        Bv[:, rows, :n, f] = table_f.acc[None, :, :] * batch.acc_w[:, None, :, f]
-    return Xv.reshape(-1, 2 * nm), Bv.reshape(-1, n + 1, m + 1), per_profile
+    Xv = Xv.reshape(-1, 2 * nm)
+    return Xv, _input_mask(Xv, n, m), per_profile
 
 
 def _search_defeating(params, dims: NetworkDims, batch: _Batch, tables, r_truth):
@@ -229,22 +231,17 @@ def _defeat_inputs(batch: _Batch, dims: NetworkDims, tables, best_k, best_th):
     A = n + m
     table_w, table_f = tables
     X_def = np.repeat(batch.X, A, axis=0).reshape(B, A, -1)
-    beta_def = np.repeat(batch.beta, A, axis=0).reshape(B, A, n + 1, m + 1)
     chosen = best_k >= 0
     ind_sel = np.take_along_axis(batch.ind, best_th[:, :, None, None, None], axis=2)[:, :, 0]
     ind_sel = np.where(chosen[:, :, None, None], ind_sel, 0.0)
     for w in range(n):
         b = np.flatnonzero(chosen[:, w])
-        k = best_k[b, w]
-        X_def[b, w, w * m:(w + 1) * m] = table_w.rows[k]
-        beta_def[b, w, w, :m] = table_w.acc[k] * batch.acc_f[b, w, :]
+        X_def[b, w, w * m:(w + 1) * m] = table_w.rows[best_k[b, w]]
     q_idx = n * m + np.arange(n) * m
     for f in range(m):
         b = np.flatnonzero(chosen[:, n + f])
-        k = best_k[b, n + f]
-        X_def[b[:, None], n + f, q_idx + f] = table_f.rows[k]
-        beta_def[b, n + f, :n, f] = table_f.acc[k] * batch.acc_w[b, :, f]
-    return X_def, beta_def, ind_sel
+        X_def[b[:, None], n + f, q_idx + f] = table_f.rows[best_k[b, n + f]]
+    return X_def, _input_mask(X_def, n, m), ind_sel
 
 
 @dataclass

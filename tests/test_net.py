@@ -147,17 +147,39 @@ class TestForward:
             forward_batch(params, dims, np.ones((2, 8)), np.ones((2, 3, 3)))
         assert info.value.layer == layer
 
-    @pytest.mark.parametrize("n,m", [(3, 3), (4, 4), (2, 5), (9, 8)])
-    def test_bitwise_equal_to_reference(self, n, m):
-        # 9x8 makes the normalizing sums long enough for pairwise summation
-        dims = NetworkDims(n, m, R=3, J=16)
+    # 9x8 makes the normalizing sums long enough for pairwise summation;
+    # 1, 2 and 51 rows straddle BLAS's small-matrix path (at most 50 rows at
+    # J=64), and R=4, J=64 is the desk preset's network
+    @pytest.mark.parametrize("n,m,R,J,rows", [
+        pytest.param(3, 3, 3, 16, 64, id="3-3"),
+        pytest.param(4, 4, 3, 16, 64, id="4-4"),
+        pytest.param(2, 5, 3, 16, 64, id="2-5"),
+        pytest.param(9, 8, 3, 16, 64, id="9-8"),
+        *(pytest.param(3, 3, 3, 16, rows, id=f"3-3-rows{rows}") for rows in (1, 2, 51)),
+        *(pytest.param(3, 3, 4, 64, rows, id=f"desk-rows{rows}") for rows in (1, 2, 51, 64)),
+    ])
+    def test_bitwise_equal_to_reference(self, n, m, R, J, rows):
+        dims = NetworkDims(n, m, R=R, J=J)
         params = [(3.0 * w, b + 0.1) for w, b in init_params(dims, seed=n * m)]
-        profiles = random_profiles(64, n=n, m=m, seed=n + m)
-        x = np.stack([np.concatenate([e.p.reshape(-1), e.q.reshape(-1)])
-                      for e in map(encode, profiles)])
-        beta = np.stack([build_mask(p) for p in profiles])
+        x, beta = profile_inputs(random_profiles(rows, n=n, m=m, seed=n + m))
         got = forward_batch(params, dims, x, beta)
         assert got.tobytes() == reference_forward(params, dims, x, beta).tobytes()
+
+    def test_inputs_unchanged(self):
+        # the forward works in place on its own buffers, never on x or beta
+        dims = NetworkDims(3, 3, R=4, J=64)
+        x, beta = profile_inputs(random_profiles(16, n=3, m=3, seed=2))
+        x_copy, beta_copy = x.copy(), beta.copy()
+        forward_batch(init_params(dims, seed=4), dims, x, beta)
+        assert x.tobytes() == x_copy.tobytes()
+        assert beta.tobytes() == beta_copy.tobytes()
+
+
+def profile_inputs(profiles):
+    """Network inputs (rows, 2nm) and masks (rows, n+1, m+1) of profiles."""
+    x = np.stack([np.concatenate([e.p.reshape(-1), e.q.reshape(-1)])
+                  for e in map(encode, profiles)])
+    return x, np.stack([build_mask(p) for p in profiles])
 
 
 class TestCheckpoint:

@@ -1,5 +1,6 @@
 import csv
 import gc
+import math
 import sys
 from dataclasses import replace
 
@@ -13,10 +14,11 @@ from matchfrontier.net import (NetworkDims, NetworkMechanism, init_params,
                                load_checkpoint)
 from matchfrontier.prefs import (AgentId, DistributionConfig,
                                  DistributionKind, PreferenceOrder,
-                                 PreferenceProfile, Side, parse_profile,
-                                 sample_profiles)
+                                 PreferenceProfile, Side, encode_ranks,
+                                 enumerate_misreports, parse_profile,
+                                 rank_arrays, sample_profiles)
 from matchfrontier.train import (HELDOUT_LANE, TrainConfig, _Batch, _defeat_inputs,
-                                 _forward_chunked, _search_defeating,
+                                 _forward_chunked, _search_defeating, _variant_inputs,
                                  loss_minibatch, misreport_tables, train)
 
 from conftest import reference_build_mask, reference_encode
@@ -108,11 +110,8 @@ def reference_batch(profiles, dims):
                     if w == threshold or order.prefers(w, threshold):
                         ind[b, n + f, t, w, f] = 1.0
                 thr_valid[b, n + f, t] = True
-    acc_w = (P > 0.0).astype(np.float64)
-    acc_f = (Q > 0.0).astype(np.float64)
     X = np.concatenate([P.reshape(B, -1), Q.reshape(B, -1)], axis=1)
-    return dict(P=P, Q=Q, beta=beta, ind=ind, thr_valid=thr_valid,
-                acc_w=acc_w, acc_f=acc_f, X=X)
+    return dict(P=P, Q=Q, beta=beta, ind=ind, thr_valid=thr_valid, X=X)
 
 
 class TestBatch:
@@ -156,11 +155,11 @@ def reference_defeat_inputs(batch, dims, tables, best_k, best_th):
             if a < n:
                 w = a
                 X_def[b, a, w * m:(w + 1) * m] = table_w.rows[k]
-                beta_def[b, a, w, :m] = table_w.acc[k] * batch.acc_f[b, w, :]
+                beta_def[b, a, w, :m] = (table_w.rows[k] > 0.0) & (batch.Q[b, w, :] > 0.0)
             else:
                 f = a - n
                 X_def[b, a, n * m + np.arange(n) * m + f] = table_f.rows[k]
-                beta_def[b, a, :n, f] = table_f.acc[k] * batch.acc_w[b, :, f]
+                beta_def[b, a, :n, f] = (table_f.rows[k] > 0.0) & (batch.P[b, :, f] > 0.0)
     return X_def, beta_def, ind_sel
 
 
@@ -220,6 +219,92 @@ class TestDefeatingSearch:
         best_k, best_gain = search(init_params(dims, seed=5), dims, [profile])
         assert best_k[0, 0] == -1
         assert best_gain[0, 0] == 0.0
+
+
+def full_tables(dims):
+    """Misreport tables over all (size+1)! orders, the ones no partner is
+    acceptable in included: the reference the pruned tables must match."""
+    tables = []
+    for side, size in ((Side.WORKER, dims.m), (Side.FIRM, dims.n)):
+        orders = enumerate_misreports(side, size)
+        rows = encode_ranks(*rank_arrays(orders, size), size)
+        tables.append(train_module._MisreportTable(tuple(orders), rows))
+    return tuple(tables)
+
+
+def kept(table):
+    """Indices of the orders with at least one acceptable partner."""
+    return np.array([k for k, order in enumerate(table.orders) if order.acceptable()])
+
+
+MARKETS = [(3, 3), (4, 4), (2, 3), (3, 2)]
+
+
+class TestPrunedTables:
+    @pytest.mark.parametrize("n,m", MARKETS)
+    def test_orders_with_an_acceptable_partner(self, n, m):
+        dims = NetworkDims(n, m, R=2, J=8)
+        for table, full, size in zip(misreport_tables(dims), full_tables(dims), (m, n)):
+            keep = kept(full)
+            assert table.orders == tuple(full.orders[k] for k in keep)
+            assert len(table.orders) == math.factorial(size + 1) - math.factorial(size)
+            assert table.rows.tobytes() == full.rows[keep].tobytes()
+
+    @pytest.mark.parametrize("n,m", MARKETS)
+    def test_unacceptable_report_has_zero_marginals(self, n, m):
+        # the invariant the pruning rests on: a report that accepts nobody
+        # gets exactly 0 on the deviator's row (worker) or column (firm)
+        dims = NetworkDims(n, m, R=2, J=16)
+        dist = DistributionConfig(DistributionKind.UNCORRELATED, n, m, p_trunc=0.5, seed=17)
+        B = 8
+        batch = _Batch(sample_profiles(dist, B), dims)
+        table_w, table_f = tables = full_tables(dims)
+        Xv, Bv, per_profile = _variant_inputs(batch, dims, tables)
+        r = _forward_chunked(init_params(dims, seed=2), dims, Xv, Bv)
+        r = r.reshape(B, per_profile, n, m)
+        Kw, Kf = len(table_w.orders), len(table_f.orders)
+        empty_w = np.setdiff1d(np.arange(Kw), kept(table_w))
+        empty_f = np.setdiff1d(np.arange(Kf), kept(table_f))
+        assert len(empty_w) == math.factorial(m) and len(empty_f) == math.factorial(n)
+        for w in range(n):
+            assert np.all(r[:, w * Kw + empty_w, w, :] == 0.0)
+        for f in range(m):
+            assert np.all(r[:, n * Kw + f * Kf + empty_f, :, f] == 0.0)
+
+    @pytest.mark.parametrize("n,m", MARKETS)
+    @pytest.mark.parametrize("kind,p_corr", [(DistributionKind.UNCORRELATED, 0.0),
+                                             (DistributionKind.CORRELATED, 0.5)])
+    def test_search_equals_full_table(self, n, m, kind, p_corr):
+        dims = NetworkDims(n, m, R=2, J=64)
+        dist = DistributionConfig(kind, n, m, p_corr=p_corr, p_trunc=0.5, seed=19)
+        batch = _Batch(sample_profiles(dist, 16), dims)
+        params = [(3.0 * w, b) for w, b in init_params(dims, seed=n + m)]
+        r_truth = _forward_chunked(params, dims, batch.X, batch.beta)
+        full = full_tables(dims)
+        full_k, full_th, full_gain = _search_defeating(params, dims, batch, full, r_truth)
+        best_k, best_th, best_gain = _search_defeating(params, dims, batch,
+                                                       misreport_tables(dims), r_truth)
+        assert (best_k >= 0).any()
+        assert best_gain.tobytes() == full_gain.tobytes()
+        assert np.array_equal(best_th, full_th)
+        for agents, table in ((slice(0, n), full[0]), (slice(n, n + m), full[1])):
+            k = best_k[:, agents]
+            mapped = np.where(k >= 0, kept(table)[np.maximum(k, 0)], -1)
+            assert np.array_equal(mapped, full_k[:, agents])
+
+
+class TestForwardChunks:
+    def test_desk_search_rows_equal_one_call(self):
+        # BLAS's small-matrix path gives other bits for calls of at most 50
+        # rows at J=64, so chunking is exact only while every chunk is larger
+        config = traincache.desk_config(0.5, 1)
+        dims = config.dims
+        batch = _Batch(sample_profiles(config.dist, config.batch_size, lane=1), dims)
+        Xv, Bv, _ = _variant_inputs(batch, dims, misreport_tables(dims))
+        assert Xv.shape[0] == 13_824
+        params = init_params(dims, seed=1)
+        chunked = _forward_chunked(params, dims, Xv, Bv)
+        assert chunked.tobytes() == net.forward_batch(params, dims, Xv, Bv).tobytes()
 
 
 class TestTruthForward:
