@@ -5,8 +5,8 @@ from .prefs import (AgentId, DistributionConfig, DistributionKind,
                     EncodedProfile, PreferenceOrder, PreferenceProfile, Side,
                     encode, parse_profile, format_profile, sample_profiles)
 from .mechanisms import (DeterministicMatching, RandomizedMatching,
-                         MechanismKind, Proposing, bvn_decompose, da,
-                         lift_mechanism, rsd_exact)
+                         LiftedMechanism, MechanismKind, Proposing,
+                         bvn_decompose, da, rsd_exact)
 from .metrics import EvalReport, evaluate, regret_profile, stv_profile
 from .net import NetworkDims, NetworkMechanism, load_checkpoint, save_checkpoint
 from .train import TrainConfig, train
@@ -17,8 +17,8 @@ __all__ = [
     "AgentId", "DistributionConfig", "DistributionKind", "EncodedProfile",
     "PreferenceOrder", "PreferenceProfile", "Side", "encode", "parse_profile",
     "format_profile", "sample_profiles", "DeterministicMatching",
-    "RandomizedMatching", "MechanismKind", "Proposing", "bvn_decompose", "da",
-    "lift_mechanism", "rsd_exact", "EvalReport", "evaluate", "regret_profile",
+    "RandomizedMatching", "LiftedMechanism", "MechanismKind", "Proposing",
+    "bvn_decompose", "da", "rsd_exact", "EvalReport", "evaluate", "regret_profile",
     "stv_profile", "NetworkDims", "NetworkMechanism", "load_checkpoint",
     "save_checkpoint", "TrainConfig", "train", "__version__",
 ]

@@ -201,7 +201,7 @@ class OptimizerState:
     the parameter structure: a list of (weight, bias) pairs."""
 
     lr: float
-    weight_decay: float = 0.01
+    weight_decay: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -210,7 +210,7 @@ class OptimizerState:
     v: list = field(default_factory=list)
 
     @classmethod
-    def for_params(cls, params, lr: float, weight_decay: float = 0.01) -> "OptimizerState":
+    def for_params(cls, params, lr: float, weight_decay: float) -> "OptimizerState":
         state = cls(lr=lr, weight_decay=weight_decay)
         state.m = [tuple(np.zeros_like(a) for a in group) for group in params]
         state.v = [tuple(np.zeros_like(a) for a in group) for group in params]

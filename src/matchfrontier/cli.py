@@ -14,15 +14,14 @@ import csv
 import io
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 
 from . import metrics, oracle
 from .autodiff import NumericError
-from .mechanisms import (MechanismKind, bvn_decompose, format_matching,
-                         lift_mechanism)
+from .mechanisms import (LiftedMechanism, MechanismKind, bvn_decompose,
+                         format_matching)
 from .net import (CheckpointError, NetworkDims, NetworkMechanism,
                   NumericOverflowError, load_checkpoint)
 from .prefs import (DistributionConfig, DistributionKind, read_profiles,
@@ -41,14 +40,6 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Config files
-
-_CONFIG_KEYS = {
-    "n": int, "m": int, "kind": str, "p_corr": float, "p_trunc": float,
-    "seed": int, "lambda": float, "batch_size": int, "iterations": int,
-    "base_lr": float, "lr_milestones": str, "weight_decay": float,
-    "eval_every": int, "test_size": int, "hidden_layers": int,
-    "hidden_units": int,
-}
 
 PRESETS = {
     "paper-uncorrelated": {
@@ -81,6 +72,9 @@ _DEFAULTS = {
     "eval_every": 2000, "test_size": 2048, "hidden_layers": 4,
     "hidden_units": 256,
 }
+
+# a config file's value for a key is parsed with the type of its default
+_CONFIG_KEYS = {key: type(value) for key, value in _DEFAULTS.items()}
 
 
 def parse_config_file(path) -> dict:
@@ -157,7 +151,7 @@ def load_mechanism(args):
         label = args.mechanism.lower()
         if label not in BASELINE_LABELS:
             raise ConfigError(f"mechanism must be one of {BASELINE_LABELS}")
-        return lift_mechanism(MechanismKind(label)), None
+        return LiftedMechanism(MechanismKind(label)), None
     if getattr(args, "checkpoint", None):
         params, dims, lam, _seed = load_checkpoint(args.checkpoint)
         return NetworkMechanism(params, dims), lam
@@ -253,16 +247,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _sweep_train_one(task):
-    lam, settings, ckpt_path = task
-    settings = dict(settings, **{"lambda": lam})
-    config = train_config_from_settings(settings, ckpt_path)
-    # the sweep reports on a shared held-out set afterwards; skip per-run eval
-    config = replace(config, test_size=0)
-    train(config)
-    return ckpt_path
-
-
 # exit code of a sweep that wrote frontier.csv without some lambda points
 SWEEP_POINTS_FAILED = 4
 
@@ -286,18 +270,12 @@ def cmd_sweep(args) -> int:
         raise ConfigError("every lambda must lie in [0, 1]")
     os.makedirs(args.out_dir, exist_ok=True)
 
-    tasks = []
     for lam in lambdas:
         ckpt = os.path.join(args.out_dir, f"lambda_{fmt(lam)}.ckpt")
         if not os.path.exists(ckpt):
-            tasks.append((lam, settings, ckpt))
-    if tasks:
-        if args.parallel > 1:
-            with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-                list(pool.map(_sweep_train_one, tasks))
-        else:
-            for task in tasks:
-                _sweep_train_one(task)
+            config = train_config_from_settings(dict(settings, **{"lambda": lam}), ckpt)
+            # the sweep reports on a shared held-out set afterwards; skip per-run eval
+            train(replace(config, test_size=0))
 
     dist = dist_from_settings(settings)
     heldout = sample_profiles(dist, settings["test_size"], lane=HELDOUT_LANE)
@@ -320,7 +298,7 @@ def cmd_sweep(args) -> int:
 
     baseline_reports = {}
     for label in BASELINE_LABELS:
-        report = metrics.evaluate(lift_mechanism(MechanismKind(label)), heldout)
+        report = metrics.evaluate(LiftedMechanism(MechanismKind(label)), heldout)
         baseline_reports[label] = report
         rows.append((label, None, report))
     da_best_label = min(("wda", "fda"), key=lambda l: baseline_reports[l].rgt)
@@ -378,8 +356,8 @@ def cmd_decompose(args) -> int:
 # ---------------------------------------------------------------------------
 # SVG frontier plot (self-contained, no external assets)
 
-def write_frontier_svg(path, rows, width=640, height=480) -> None:
-    pad = 60
+def write_frontier_svg(path, rows) -> None:
+    width, height, pad = 640, 480, 60
     points = []
     for label, lam, report in rows:
         points.append((label, lam, frontier_report(label, report).stv, report.rgt))
@@ -472,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--lambdas", required=True, help="comma-separated lambda list")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--parallel", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("audit", help="brute-force FOSD and stability audit")

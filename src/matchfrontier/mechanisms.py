@@ -76,14 +76,14 @@ class RandomizedMatching:
 
     r: np.ndarray
 
-    def validate(self, eps: float = MARGINAL_TOL) -> None:
+    def validate(self) -> None:
         if self.r.ndim != 2:
             raise InvalidMatchingError("marginal matrix must be 2-D")
-        if np.any(self.r < -eps) or np.any(self.r > 1 + eps):
+        if np.any(self.r < -MARGINAL_TOL) or np.any(self.r > 1 + MARGINAL_TOL):
             raise InvalidMatchingError("marginals outside [0, 1]")
-        if np.any(self.r.sum(axis=1) > 1 + eps):
+        if np.any(self.r.sum(axis=1) > 1 + MARGINAL_TOL):
             raise InvalidMatchingError("worker row sum exceeds 1")
-        if np.any(self.r.sum(axis=0) > 1 + eps):
+        if np.any(self.r.sum(axis=0) > 1 + MARGINAL_TOL):
             raise InvalidMatchingError("firm column sum exceeds 1")
 
     @property
@@ -263,8 +263,7 @@ class BvnDecomposition:
         return acc
 
 
-def bvn_decompose(rm: RandomizedMatching, tol: float = MARGINAL_TOL
-                  ) -> BvnDecomposition:
+def bvn_decompose(rm: RandomizedMatching) -> BvnDecomposition:
     """Decompose a weakly doubly stochastic marginal matrix into a convex
     combination of deterministic matchings.
 
@@ -336,7 +335,7 @@ def bvn_decompose(rm: RandomizedMatching, tol: float = MARGINAL_TOL
         components.append((delta, DeterministicMatching(frozenset(pairs), n, m)))
         total += delta
 
-    if 1.0 - total > tol:
+    if 1.0 - total > MARGINAL_TOL:
         components.append((1.0 - total, DeterministicMatching(frozenset(), n, m)))
     else:
         # absorb float dust so weights sum to exactly 1
@@ -371,13 +370,6 @@ class LiftedMechanism:
         key = [int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:16], "little")]
         rng = np.random.Generator(np.random.Philox(key=key))
         return rsd_monte_carlo(profile, self.mc_samples, rng)
-
-    def __call__(self, profile: PreferenceProfile) -> RandomizedMatching:
-        return self.evaluate(profile)
-
-
-def lift_mechanism(kind: MechanismKind, **kwargs) -> LiftedMechanism:
-    return LiftedMechanism(kind, **kwargs)
 
 
 # ---------------------------------------------------------------------------

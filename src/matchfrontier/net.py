@@ -33,8 +33,8 @@ class NumericOverflowError(ArithmeticError):
 class NetworkDims:
     n: int
     m: int
-    R: int = 4    # hidden layers
-    J: int = 256  # units per hidden layer
+    R: int  # hidden layers
+    J: int  # units per hidden layer
 
     def __post_init__(self):
         if self.R < 1 or self.J < 1:
@@ -136,10 +136,11 @@ def _first_nonfinite_layer(params, x: np.ndarray) -> int:
 class NetworkMechanism:
     """Mechanism-interface wrapper around fixed network parameters."""
 
-    def __init__(self, params, dims: NetworkDims, label: str = "learned"):
+    label = "learned"
+
+    def __init__(self, params, dims: NetworkDims):
         self.params = params
         self.dims = dims
-        self.label = label
 
     def _marginals(self, profiles) -> np.ndarray:
         P, Q, _ = encode_arrays(profiles, self.dims.n, self.dims.m)
@@ -154,9 +155,6 @@ class NetworkMechanism:
         if not profiles:
             return []
         return [RandomizedMatching(r) for r in self._marginals(profiles)]
-
-    def __call__(self, profile):
-        return self.evaluate(profile)
 
 
 # ---------------------------------------------------------------------------

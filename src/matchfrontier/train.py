@@ -128,16 +128,10 @@ def _forward_chunked(params, dims, X, beta):
     return np.concatenate(outs, axis=0)
 
 
-def _input_mask(X, n: int, m: int) -> np.ndarray:
-    """net.acceptability_mask of network inputs (..., 2nm)."""
-    lead = X.shape[:-1]
-    return net.acceptability_mask(X[..., :n * m].reshape(lead + (n, m)),
-                                  X[..., n * m:].reshape(lead + (n, m)))
-
-
 def _variant_inputs(batch: _Batch, dims: NetworkDims, tables):
-    """Inputs for every (profile, agent, misreport) combination, grouped
-    profile-major, worker agents before firm agents."""
+    """Inputs and masks for every (profile, agent, misreport) combination,
+    grouped profile-major, worker agents before firm agents, plus the table
+    sizes (Kw, Kf) that locate a row."""
     n, m = dims.n, dims.m
     B = len(batch.profiles)
     table_w, table_f = tables
@@ -153,49 +147,45 @@ def _variant_inputs(batch: _Batch, dims: NetworkDims, tables):
         rows = slice(n * Kw + f * Kf, n * Kw + (f + 1) * Kf)
         Xv[:, rows, :][:, :, q_idx + f] = table_f.rows[None, :, :]
     Xv = Xv.reshape(-1, 2 * nm)
-    return Xv, _input_mask(Xv, n, m), per_profile
+    Bv = net.acceptability_mask(Xv[:, :nm].reshape(-1, n, m), Xv[:, nm:].reshape(-1, n, m))
+    return Xv, Bv, (Kw, Kf)
 
 
-def _search_defeating(params, dims: NetworkDims, batch: _Batch, tables, r_truth):
+def _search_defeating(params, dims: NetworkDims, batch: _Batch, variants, r_truth):
     """Per (profile, agent): best misreport index (-1 when truth wins), the
-    winning threshold slot, and the gain (0 when truth wins).  `r_truth`
-    holds the caller's marginals (B, n, m) of the batch's truthful inputs."""
+    winning threshold slot, and the gain (0 when truth wins).  `variants` is
+    the batch's _variant_inputs; `r_truth` holds the caller's marginals
+    (B, n, m) of the batch's truthful inputs."""
     n, m = dims.n, dims.m
     B = len(batch.profiles)
     A = n + m
-    table_w, table_f = tables
-    Kw, Kf = len(table_w.orders), len(table_f.orders)
+    Xv, Bv, (Kw, Kf) = variants
 
     cum_truth = np.einsum("bqtwf,bwf->bqt", batch.ind, r_truth)  # (B, A, TH)
-
-    Xv, Bv, per_profile = _variant_inputs(batch, dims, tables)
-    r_var = _forward_chunked(params, dims, Xv, Bv).reshape(B, per_profile, n, m)
-
-    rw = r_var[:, :n * Kw].reshape(B, n, Kw, n, m)
-    cum_w = np.einsum("bakwf,batwf->bakt", rw, batch.ind[:, :n])   # (B, n, Kw, TH)
-    rf = r_var[:, n * Kw:].reshape(B, m, Kf, n, m)
-    cum_f = np.einsum("bakwf,batwf->bakt", rf, batch.ind[:, n:])   # (B, m, Kf, TH)
-    # max over valid thresholds of (cum_mis - cum_truth); ties resolved by
-    # argmax order: misreport enumeration order first, threshold order second
-    diff_w = cum_w - cum_truth[:, :n, None, :]
-    diff_w = np.where(batch.thr_valid[:, :n, None, :], diff_w, -np.inf)
-    diff_f = cum_f - cum_truth[:, n:, None, :]
-    diff_f = np.where(batch.thr_valid[:, n:, None, :], diff_f, -np.inf)
+    r_var = _forward_chunked(params, dims, Xv, Bv).reshape(B, -1, n, m)
 
     TH = batch.ind.shape[2]
     best_k = np.full((B, A), -1, dtype=np.int64)
     best_th = np.zeros((B, A), dtype=np.int64)
     best_gain = np.zeros((B, A))
-    for side_diff, offset, count in ((diff_w, 0, n), (diff_f, n, m)):
+    # a side's variant rows start at offset * Kw: 0 for workers, n * Kw for firms
+    for offset, count, K in ((0, n, Kw), (n, m, Kf)):
         if count == 0:
             continue
-        flat = side_diff.reshape(B, count, -1)
+        agents = slice(offset, offset + count)
+        r_side = r_var[:, offset * Kw:offset * Kw + count * K].reshape(B, count, K, n, m)
+        cum = np.einsum("bakwf,batwf->bakt", r_side, batch.ind[:, agents])  # (B, count, K, TH)
+        # max over valid thresholds of (cum_mis - cum_truth); ties resolved by
+        # argmax order: misreport enumeration order first, threshold order second
+        diff = cum - cum_truth[:, agents, None, :]
+        diff = np.where(batch.thr_valid[:, agents, None, :], diff, -np.inf)
+        flat = diff.reshape(B, count, -1)
         arg = np.argmax(flat, axis=2)
         top = np.take_along_axis(flat, arg[:, :, None], axis=2)[:, :, 0]
         positive = top > 0.0
-        best_gain[:, offset:offset + count] = np.where(positive, top, 0.0)
-        best_k[:, offset:offset + count] = np.where(positive, arg // TH, -1)
-        best_th[:, offset:offset + count] = np.where(positive, arg % TH, 0)
+        best_gain[:, agents] = np.where(positive, top, 0.0)
+        best_k[:, agents] = np.where(positive, arg // TH, -1)
+        best_th[:, agents] = np.where(positive, arg % TH, 0)
     return best_k, best_th, best_gain
 
 
@@ -222,26 +212,21 @@ def _forward_tape(tape: Tape, param_nodes, dims: NetworkDims, x: np.ndarray,
     return shat[:, :n, :].minimum(shat2[:, :, :m])
 
 
-def _defeat_inputs(batch: _Batch, dims: NetworkDims, tables, best_k, best_th):
-    """Per (profile, agent): the truth inputs with the agent's chosen
-    misreport substituted, and the prefix-set indicator of the chosen
-    threshold (zero where truth wins, best_k < 0)."""
+def _defeat_inputs(batch: _Batch, dims: NetworkDims, variants, best_k, best_th):
+    """Per (profile, agent): the variant row and mask of the agent's chosen
+    misreport (the truth inputs where truth wins, best_k < 0), and the
+    prefix-set indicator of the chosen threshold (zero where truth wins)."""
     n, m = dims.n, dims.m
     B = len(batch.profiles)
-    A = n + m
-    table_w, table_f = tables
-    X_def = np.repeat(batch.X, A, axis=0).reshape(B, A, -1)
+    Xv, Bv, (Kw, Kf) = variants
     chosen = best_k >= 0
+    start = np.concatenate([np.arange(n) * Kw, n * Kw + np.arange(m) * Kf])
+    rows = np.arange(B)[:, None] * (n * Kw + m * Kf) + start + np.maximum(best_k, 0)
+    X_def = np.where(chosen[:, :, None], Xv[rows], batch.X[:, None, :])
+    beta_def = np.where(chosen[:, :, None, None], Bv[rows], batch.beta[:, None])
     ind_sel = np.take_along_axis(batch.ind, best_th[:, :, None, None, None], axis=2)[:, :, 0]
     ind_sel = np.where(chosen[:, :, None, None], ind_sel, 0.0)
-    for w in range(n):
-        b = np.flatnonzero(chosen[:, w])
-        X_def[b, w, w * m:(w + 1) * m] = table_w.rows[best_k[b, w]]
-    q_idx = n * m + np.arange(n) * m
-    for f in range(m):
-        b = np.flatnonzero(chosen[:, n + f])
-        X_def[b[:, None], n + f, q_idx + f] = table_f.rows[best_k[b, n + f]]
-    return X_def, _input_mask(X_def, n, m), ind_sel
+    return X_def, beta_def, ind_sel
 
 
 @dataclass
@@ -265,12 +250,13 @@ def _loss_from_batch(params, dims: NetworkDims, batch: _Batch, lam: float,
     # the one truth forward: the search reads the tape's values, which equal
     # forward_batch's bitwise for batches of up to _FORWARD_CHUNK rows
     r_t = _forward_tape(tape, param_nodes, dims, batch.X, batch.beta)
+    variants = _variant_inputs(batch, dims, tables)
     if selection is None:
-        best_k, best_th, _ = _search_defeating(params, dims, batch, tables, r_t.value)
+        best_k, best_th, _ = _search_defeating(params, dims, batch, variants, r_t.value)
     else:
         best_k, best_th = selection
 
-    X_def, beta_def, ind_sel = _defeat_inputs(batch, dims, tables, best_k, best_th)
+    X_def, beta_def, ind_sel = _defeat_inputs(batch, dims, variants, best_k, best_th)
     r_d = _forward_tape(tape, param_nodes, dims,
                         X_def.reshape(B * A, -1), beta_def.reshape(B * A, n + 1, m + 1))
 
@@ -321,7 +307,8 @@ def evaluate_network(params, dims: NetworkDims, profiles, tables):
     for start in range(0, len(profiles), _EVAL_BLOCK):
         batch = _Batch(profiles[start:start + _EVAL_BLOCK], dims)
         r = _forward_chunked(params, dims, batch.X, batch.beta)
-        _, _, best_gain = _search_defeating(params, dims, batch, tables, r)
+        _, _, best_gain = _search_defeating(params, dims, batch,
+                                            _variant_inputs(batch, dims, tables), r)
         stv.append(stv_batch(r, batch.P, batch.Q))
         rgt.append((best_gain * weights).sum(axis=1))
         marginals.append(r)
@@ -344,7 +331,9 @@ class TrainResult:
 def train(config: TrainConfig, progress=None) -> TrainResult:
     """Run the SGD loop: fresh minibatch every iteration, defeating-report
     search at current parameters, Adam step with the halving schedule.
-    Checkpoints at every eval point and at the end; a numeric failure
+    Every eval_every-th iteration and the last one are eval points: each
+    evaluates the held-out set, logs a row and checkpoints (a run of zero
+    iterations checkpoints its initial parameters).  A numeric failure
     aborts with the last good checkpoint on disk."""
     dims, dist = config.dims, config.dist
     tables = misreport_tables(dims)
@@ -390,22 +379,20 @@ def train(config: TrainConfig, progress=None) -> TrainResult:
             raise
         loss_window.append(float(build.loss.value))
 
-        if config.eval_every and (it + 1) % config.eval_every == 0:
+        done = it + 1
+        if done == config.iterations or (config.eval_every and done % config.eval_every == 0):
             if heldout is not None:
                 stv, rgt = _heldout_stv_rgt(params, dims, heldout, tables)
-            mean_loss = float(np.mean(loss_window[-config.eval_every:]))
-            log.append((it + 1, mean_loss, stv, rgt, state.lr))
+            mean_loss = float(np.mean(loss_window[-max(1, config.eval_every):]))
+            log.append((done, mean_loss, stv, rgt, state.lr))
             write_log()
             checkpoint()
             if progress:
-                progress(it + 1, mean_loss, stv, rgt)
+                progress(done, mean_loss, stv, rgt)
 
-    if heldout is not None:
-        stv, rgt = _heldout_stv_rgt(params, dims, heldout, tables)
-    if config.iterations and (not log or log[-1][0] != config.iterations):
-        mean_loss = float(np.mean(loss_window[-max(1, config.eval_every or 1):])) \
-            if loss_window else math.nan
-        log.append((config.iterations, mean_loss, stv, rgt, state.lr))
-    write_log()
-    checkpoint()
+    if not config.iterations:
+        if heldout is not None:
+            stv, rgt = _heldout_stv_rgt(params, dims, heldout, tables)
+        write_log()
+        checkpoint()
     return TrainResult(params=params, log=log, heldout_stv=stv, heldout_rgt=rgt)

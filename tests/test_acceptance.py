@@ -14,7 +14,7 @@ import pytest
 import traincache
 from matchfrontier import cli, metrics, oracle
 from matchfrontier.mechanisms import (MechanismKind, RandomizedMatching,
-                                      bvn_decompose, da, lift_mechanism,
+                                      LiftedMechanism, bvn_decompose, da,
                                       rsd_exact, rsd_monte_carlo, Proposing)
 from matchfrontier.net import (NetworkDims, NetworkMechanism, build_mask,
                                forward_batch, init_params, load_checkpoint)
@@ -89,7 +89,7 @@ def da_best_rgt_seed1(desk_heldout):
     profiles = desk_heldout[1]
     best = math.inf
     for kind in (MechanismKind.WDA, MechanismKind.FDA):
-        mech = _Memo(lift_mechanism(kind))
+        mech = _Memo(LiftedMechanism(kind))
         rgt = float(np.mean([metrics.regret_profile(mech, p) for p in profiles]))
         best = min(best, rgt)
     return best
@@ -156,7 +156,7 @@ class TestAcceptance:
     def test_05_rsd_ordinal_sp(self):
         cfg = DistributionConfig(DistributionKind.UNCORRELATED, 3, 3,
                                  p_trunc=0.3, seed=55)
-        mech = _Memo(lift_mechanism(MechanismKind.RSD))
+        mech = _Memo(LiftedMechanism(MechanismKind.RSD))
         worst = 0.0
         for profile in sample_profiles(cfg, 100):
             gains = oracle.fosd_audit(mech, profile)
@@ -274,9 +274,9 @@ class TestAcceptance:
 
     def test_10_oracle_equivalence(self):
         dims = NetworkDims(3, 3, R=2, J=16)
-        mechs = [lift_mechanism(MechanismKind.WDA),
-                 lift_mechanism(MechanismKind.FDA),
-                 lift_mechanism(MechanismKind.RSD)] + \
+        mechs = [LiftedMechanism(MechanismKind.WDA),
+                 LiftedMechanism(MechanismKind.FDA),
+                 LiftedMechanism(MechanismKind.RSD)] + \
             [NetworkMechanism(init_params(dims, seed=s), dims) for s in range(3)]
         worst = 0.0
         pairs = 0

@@ -186,14 +186,14 @@ class TestOptimizer:
 
     def test_nonfinite_gradient_raises(self):
         params = [(np.ones((2, 2)), np.ones(2))]
-        state = OptimizerState.for_params(params, lr=0.01)
+        state = OptimizerState.for_params(params, lr=0.01, weight_decay=0.01)
         grads = [(np.full((2, 2), np.nan), np.zeros(2))]
         with pytest.raises(NumericError):
             adam_step(state, params, grads)
 
     def test_params_unchanged_on_failure(self):
         params = [(np.ones((2, 2)), np.ones(2))]
-        state = OptimizerState.for_params(params, lr=0.01)
+        state = OptimizerState.for_params(params, lr=0.01, weight_decay=0.01)
         try:
             adam_step(state, params, [(np.full((2, 2), np.inf), np.zeros(2))])
         except NumericError:

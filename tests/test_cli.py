@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from matchfrontier import cli, metrics
-from matchfrontier.mechanisms import MechanismKind, lift_mechanism, parse_matching
+from matchfrontier.mechanisms import LiftedMechanism, MechanismKind, parse_matching
 from matchfrontier.net import NetworkDims, init_params, save_checkpoint
 from matchfrontier.prefs import encode, read_profiles
 
@@ -181,7 +181,7 @@ class TestSweep:
         from matchfrontier.prefs import sample_profiles
         from matchfrontier.train import HELDOUT_LANE
         heldout = sample_profiles(dist, merged["test_size"], lane=HELDOUT_LANE)
-        mech = lift_mechanism(MechanismKind.RSD)
+        mech = LiftedMechanism(MechanismKind.RSD)
         stv = np.mean([metrics.stv_profile(mech.evaluate(p), encode(p))
                        for p in heldout])
         irv = np.mean([metrics.irv_profile(mech.evaluate(p), encode(p))

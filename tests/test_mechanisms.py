@@ -11,7 +11,7 @@ from matchfrontier.mechanisms import (DEFAULT_RSD_CAP, DeterministicMatching,
                                       MechanismKind,
                                       Proposing, RandomizedMatching,
                                       bvn_decompose, da, format_matching,
-                                      lift_mechanism, parse_matching,
+                                      parse_matching,
                                       rsd_exact, rsd_monte_carlo,
                                       serial_dictatorship_round)
 from matchfrontier.prefs import (BOTTOM, DistributionConfig, DistributionKind,
@@ -170,19 +170,19 @@ class TestRsd:
 
 class TestLiftedMechanisms:
     def test_labels(self):
-        assert lift_mechanism(MechanismKind.WDA).label == "wda"
+        assert LiftedMechanism(MechanismKind.WDA).label == "wda"
 
     def test_wda_fda_marginals_deterministic(self, example1):
-        r = lift_mechanism(MechanismKind.WDA).evaluate(example1).r
+        r = LiftedMechanism(MechanismKind.WDA).evaluate(example1).r
         assert set(np.unique(r)) <= {0.0, 1.0}
 
     def test_rsd_exact_under_cap(self, example1, rsd_expected):
-        r = lift_mechanism(MechanismKind.RSD).evaluate(example1).r
+        r = LiftedMechanism(MechanismKind.RSD).evaluate(example1).r
         assert np.allclose(r, rsd_expected, atol=1e-12)
 
     def test_rsd_monte_carlo_reproducible_over_cap(self):
         profile = random_profiles(1, n=5, m=5, seed=6)[0]
-        mech = lift_mechanism(MechanismKind.RSD, mc_samples=2_000)
+        mech = LiftedMechanism(MechanismKind.RSD, mc_samples=2_000)
         assert np.array_equal(mech.evaluate(profile).r, mech.evaluate(profile).r)
 
 

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from matchfrontier import metrics
-from matchfrontier.mechanisms import (MechanismKind, Proposing,
-                                      RandomizedMatching, da, lift_mechanism,
-                                      rsd_exact)
+from matchfrontier.mechanisms import (LiftedMechanism, MechanismKind, Proposing,
+                                      RandomizedMatching, da, rsd_exact)
 from matchfrontier.net import NetworkDims, NetworkMechanism, init_params
 from matchfrontier.prefs import (BOTTOM, AgentId, DistributionConfig,
                                  DistributionKind, PreferenceOrder, Side,
@@ -68,7 +67,7 @@ class TestStabilityViolation:
         for profile in random_profiles(12, n, m, seed=n + m):
             enc = encode(profile)
             for kind in MechanismKind:
-                rs.append(lift_mechanism(kind).evaluate(profile).r)
+                rs.append(LiftedMechanism(kind).evaluate(profile).r)
                 ps.append(enc.p)
                 qs.append(enc.q)
             rs.append(rng.dirichlet(np.ones(m + 1), size=n)[:, :m] / 2)
@@ -109,24 +108,24 @@ class TestCumulativeProb:
 
 class TestRegret:
     def test_f1_truncation_gain(self, example1):
-        mech = lift_mechanism(MechanismKind.WDA)
+        mech = LiftedMechanism(MechanismKind.WDA)
         got = metrics.regret_agent(mech, example1, AgentId(Side.FIRM, 0))
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_proposers_never_gain_under_da(self):
-        mech = lift_mechanism(MechanismKind.WDA)
+        mech = LiftedMechanism(MechanismKind.WDA)
         for profile in random_profiles(15, seed=31):
             for w in range(profile.n):
                 got = metrics.regret_agent(mech, profile, AgentId(Side.WORKER, w))
                 assert got <= 1e-12
 
     def test_rsd_strategyproof(self):
-        mech = lift_mechanism(MechanismKind.RSD)
+        mech = LiftedMechanism(MechanismKind.RSD)
         for profile in random_profiles(5, seed=32):
             assert metrics.regret_profile(mech, profile) <= 1e-12
 
     def test_profile_average_structure(self, example1):
-        mech = lift_mechanism(MechanismKind.WDA)
+        mech = LiftedMechanism(MechanismKind.WDA)
         workers = [metrics.regret_agent(mech, example1, AgentId(Side.WORKER, w))
                    for w in range(3)]
         firms = [metrics.regret_agent(mech, example1, AgentId(Side.FIRM, f))
@@ -189,7 +188,7 @@ class TestEntropy:
 class TestEvaluate:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
-            metrics.evaluate(lift_mechanism(MechanismKind.WDA), [])
+            metrics.evaluate(LiftedMechanism(MechanismKind.WDA), [])
 
     def test_batched_matches_unbatched(self):
         # a wrapper exposing only evaluate takes the per-profile path:
@@ -220,5 +219,5 @@ class TestEvaluate:
             metrics.evaluate(Broken(), [example1])
 
     def test_report_counts_profiles(self, example1):
-        report = metrics.evaluate(lift_mechanism(MechanismKind.WDA), [example1])
+        report = metrics.evaluate(LiftedMechanism(MechanismKind.WDA), [example1])
         assert report.profiles_evaluated == 1

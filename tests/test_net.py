@@ -42,7 +42,7 @@ def reference_forward(params, dims, x, beta):
 
 class TestDims:
     def test_widths(self):
-        dims = NetworkDims(4, 4)
+        dims = NetworkDims(4, 4, R=4, J=256)
         assert dims.input_width == 32
         assert dims.output_width == 5 * 4 + 4 * 5
 
@@ -54,7 +54,7 @@ class TestDims:
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
-            NetworkDims(2, 2, R=0)
+            NetworkDims(2, 2, R=0, J=4)
 
 
 class TestInit:
@@ -110,7 +110,7 @@ class TestForward:
         params = init_params(dims, seed=3)
         mech = NetworkMechanism(params, dims)
         for r in mech.evaluate_many(random_profiles(50, seed=9)):
-            r.validate(eps=1e-9)
+            r.validate()
 
     def test_network_outputs_are_ir(self):
         # masked pairs carry no mass, so irv is exactly zero

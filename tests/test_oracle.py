@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from matchfrontier import oracle
-from matchfrontier.mechanisms import (DeterministicMatching, MechanismKind,
-                                      Proposing, da, lift_mechanism)
+from matchfrontier.mechanisms import (DeterministicMatching, LiftedMechanism,
+                                      MechanismKind, Proposing, da)
 from matchfrontier.prefs import (BOTTOM, DistributionConfig, DistributionKind,
                                  AgentId, PreferenceOrder, Side, parse_profile,
                                  sample_profiles)
@@ -90,7 +90,7 @@ class TestRsdByEnumeration:
 
 class TestFosdAudit:
     def test_wda_example_gains(self, example1):
-        gains = oracle.fosd_audit(lift_mechanism(MechanismKind.WDA), example1)
+        gains = oracle.fosd_audit(LiftedMechanism(MechanismKind.WDA), example1)
         # workers (proposers) cannot gain; f1 and f3 gain a full unit by
         # truncating, f2 already gets its favorite
         for w in range(3):
@@ -101,7 +101,7 @@ class TestFosdAudit:
 
     def test_agent_with_empty_list_has_no_regret(self):
         profile = parse_profile("_,f1|w1,_")
-        gains = oracle.fosd_audit(lift_mechanism(MechanismKind.WDA), profile)
+        gains = oracle.fosd_audit(LiftedMechanism(MechanismKind.WDA), profile)
         assert gains[AgentId(Side.WORKER, 0)] == 0.0
 
     def test_cumulative_weak_inclusion(self):

@@ -174,7 +174,8 @@ class TestDefeatInputs:
         tables = misreport_tables(dims)
         params = init_params(dims, seed=3)
         r_truth = _forward_chunked(params, dims, batch.X, batch.beta)
-        searched = _search_defeating(params, dims, batch, tables, r_truth)[:2]
+        variants = _variant_inputs(batch, dims, tables)
+        searched = _search_defeating(params, dims, batch, variants, r_truth)[:2]
         # a random selection also reaches misreports the search never picks
         rng = np.random.default_rng(5)
         sizes = np.array([len(tables[0].orders)] * n + [len(tables[1].orders)] * m)
@@ -182,7 +183,7 @@ class TestDefeatInputs:
         random_th = rng.integers(0, max(n, m), size=(32, n + m))
         for best_k, best_th in (searched, (random_k, random_th)):
             assert (best_k < 0).any() and (best_k >= 0).any()
-            got = _defeat_inputs(batch, dims, tables, best_k, best_th)
+            got = _defeat_inputs(batch, dims, variants, best_k, best_th)
             expected = reference_defeat_inputs(batch, dims, tables, best_k, best_th)
             for g, e in zip(got, expected):
                 assert g.dtype == e.dtype
@@ -193,8 +194,8 @@ def search(params, dims, profiles):
     """_search_defeating's (best_k, best_gain) on a batch of profiles."""
     batch = _Batch(profiles, dims)
     r_truth = _forward_chunked(params, dims, batch.X, batch.beta)
-    best_k, _, best_gain = _search_defeating(params, dims, batch,
-                                             misreport_tables(dims), r_truth)
+    variants = _variant_inputs(batch, dims, misreport_tables(dims))
+    best_k, _, best_gain = _search_defeating(params, dims, batch, variants, r_truth)
     return best_k, best_gain
 
 
@@ -259,10 +260,10 @@ class TestPrunedTables:
         B = 8
         batch = _Batch(sample_profiles(dist, B), dims)
         table_w, table_f = tables = full_tables(dims)
-        Xv, Bv, per_profile = _variant_inputs(batch, dims, tables)
+        Xv, Bv, (Kw, Kf) = _variant_inputs(batch, dims, tables)
+        assert (Kw, Kf) == (len(table_w.orders), len(table_f.orders))
         r = _forward_chunked(init_params(dims, seed=2), dims, Xv, Bv)
-        r = r.reshape(B, per_profile, n, m)
-        Kw, Kf = len(table_w.orders), len(table_f.orders)
+        r = r.reshape(B, n * Kw + m * Kf, n, m)
         empty_w = np.setdiff1d(np.arange(Kw), kept(table_w))
         empty_f = np.setdiff1d(np.arange(Kf), kept(table_f))
         assert len(empty_w) == math.factorial(m) and len(empty_f) == math.factorial(n)
@@ -281,9 +282,10 @@ class TestPrunedTables:
         params = [(3.0 * w, b) for w, b in init_params(dims, seed=n + m)]
         r_truth = _forward_chunked(params, dims, batch.X, batch.beta)
         full = full_tables(dims)
-        full_k, full_th, full_gain = _search_defeating(params, dims, batch, full, r_truth)
-        best_k, best_th, best_gain = _search_defeating(params, dims, batch,
-                                                       misreport_tables(dims), r_truth)
+        full_k, full_th, full_gain = _search_defeating(
+            params, dims, batch, _variant_inputs(batch, dims, full), r_truth)
+        best_k, best_th, best_gain = _search_defeating(
+            params, dims, batch, _variant_inputs(batch, dims, misreport_tables(dims)), r_truth)
         assert (best_k >= 0).any()
         assert best_gain.tobytes() == full_gain.tobytes()
         assert np.array_equal(best_th, full_th)
@@ -345,7 +347,8 @@ class TestTruthForward:
         batch = _Batch(profiles, dims)
         tables = misreport_tables(dims)
         r_plain = _forward_chunked(params, dims, batch.X, batch.beta)
-        pinned = _search_defeating(params, dims, batch, tables, r_plain)[:2]
+        pinned = _search_defeating(params, dims, batch, _variant_inputs(batch, dims, tables),
+                                   r_plain)[:2]
         build = loss_minibatch(params, dims, profiles, 0.4)
         for got, expected in zip(build.selection, pinned):
             assert np.array_equal(got, expected)
@@ -389,6 +392,58 @@ class TestTrainLoop:
             rows = list(csv.reader(fh))
         assert rows[0] == ["iter", "loss", "stv", "rgt", "lr"]
         assert [int(r[0]) for r in rows[1:]] == [3, 6]
+
+    @staticmethod
+    def count_eval_points(monkeypatch):
+        """Lists that grow by one per held-out evaluation and per checkpoint write."""
+        evals, saves = [], []
+        heldout, save = train_module._heldout_stv_rgt, net.save_checkpoint
+
+        def counted_heldout(*args):
+            evals.append(1)
+            return heldout(*args)
+
+        def counted_save(*args):
+            saves.append(1)
+            return save(*args)
+
+        monkeypatch.setattr(train_module, "_heldout_stv_rgt", counted_heldout)
+        monkeypatch.setattr(net, "save_checkpoint", counted_save)
+        return evals, saves
+
+    def test_one_evaluation_and_checkpoint_per_eval_point(self, tmp_path, monkeypatch):
+        # the last iteration is the eval point at 6: evaluated and saved once
+        evals, saves = self.count_eval_points(monkeypatch)
+        result = train(small_config(iterations=6, eval_every=3,
+                                    checkpoint_path=str(tmp_path / "run.ckpt")))
+        assert [row[0] for row in result.log] == [3, 6]
+        assert len(evals) == 2
+        assert len(saves) == 2
+
+    def test_final_row_logged_and_reported_once(self, tmp_path):
+        log = tmp_path / "run.log"
+        reported = []
+        result = train(small_config(iterations=7, eval_every=3, log_path=str(log)),
+                       progress=lambda iteration, *_: reported.append(iteration))
+        with open(log) as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [int(r[0]) for r in rows] == [3, 6, 7]
+        assert [row[0] for row in result.log] == [3, 6, 7]
+        assert reported == [3, 6, 7]
+        assert result.log[-1][2:4] == (result.heldout_stv, result.heldout_rgt)
+
+    def test_zero_iterations_checkpoint_initial_params(self, tmp_path, monkeypatch):
+        evals, saves = self.count_eval_points(monkeypatch)
+        ckpt = tmp_path / "run.ckpt"
+        config = small_config(iterations=0, checkpoint_path=str(ckpt))
+        result = train(config)
+        assert len(evals) == 1 and len(saves) == 1
+        assert result.log == []
+        assert math.isfinite(result.heldout_stv) and math.isfinite(result.heldout_rgt)
+        params, _, _, _ = load_checkpoint(ckpt)
+        for (w, b), (w0, b0) in zip(params, init_params(config.dims, seed=config.dist.seed)):
+            assert np.array_equal(w, w0.astype(np.float32))
+            assert np.array_equal(b, b0.astype(np.float32))
 
     def test_lr_schedule_applied(self, tmp_path):
         log = tmp_path / "run.log"
