@@ -114,6 +114,8 @@ def da(profile: PreferenceProfile, proposing: Proposing = Proposing.WORKERS
     np_, nr = len(prop_orders), len(recv_orders)
 
     remaining = [list(o.acceptable()) for o in prop_orders]
+    # receiver -> {acceptable proposer: rank}; only the acceptable prefix counts
+    rank = [{c: i for i, c in enumerate(o.acceptable())} for o in recv_orders]
     held = [None] * nr  # receiver -> tentatively accepted proposer
     free = list(range(np_))
     while True:
@@ -125,13 +127,13 @@ def da(profile: PreferenceProfile, proposing: Proposing = Proposing.WORKERS
             break
         for recv, props in sorted(proposals.items()):
             candidates = props + ([held[recv]] if held[recv] is not None else [])
-            acceptable = [c for c in candidates if recv_orders[recv].is_acceptable(c)]
-            best = min(acceptable, key=recv_orders[recv].rank_of) if acceptable else None
+            acceptable = [c for c in candidates if c in rank[recv]]
+            best = min(acceptable, key=rank[recv].__getitem__) if acceptable else None
             for c in candidates:
                 if c != best:
                     remaining[c].remove(recv)
             held[recv] = best
-        free = [p for p in range(np_) if all(held[r] != p for r in range(nr))]
+        free = [p for p in range(np_) if p not in held]
         if not free:
             break
 
@@ -358,12 +360,22 @@ class LiftedMechanism:
         self.label = kind.value
         self.mc_samples = mc_samples
 
+    def reads_prefixes_only(self, profile: PreferenceProfile) -> bool:
+        """Whether `evaluate`'s outcome on this market depends on each
+        order's acceptable prefix alone, so that two reports with the same
+        prefix give bitwise-equal marginals.  True for DA, which reads
+        `acceptable()` and ranks among acceptable partners, and for exact
+        RSD, which reads `_partner_lists`.  False for Monte-Carlo RSD: its
+        sampler is seeded from `format_profile`, which also spells out the
+        order of unacceptable partners."""
+        return self.kind is not MechanismKind.RSD or profile.n + profile.m <= DEFAULT_RSD_CAP
+
     def evaluate(self, profile: PreferenceProfile) -> RandomizedMatching:
         if self.kind is MechanismKind.WDA:
             return da(profile, Proposing.WORKERS).to_marginals()
         if self.kind is MechanismKind.FDA:
             return da(profile, Proposing.FIRMS).to_marginals()
-        if profile.n + profile.m <= DEFAULT_RSD_CAP:
+        if self.reads_prefixes_only(profile):
             return rsd_exact(profile)
         # deterministic per profile: seed the sampler from the profile text
         digest = hashlib.sha256(format_profile(profile).encode()).digest()

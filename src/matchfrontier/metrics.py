@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prefs import (AgentId, EncodedProfile, PreferenceProfile, Side,
+from .prefs import (BOTTOM, AgentId, EncodedProfile, PreferenceProfile, Side,
                     encode_many, enumerate_misreports)
-from .mechanisms import Proposing, RandomizedMatching, da
+from .mechanisms import LiftedMechanism, Proposing, RandomizedMatching, da
 from .net import NetworkMechanism
 
 
@@ -77,29 +77,54 @@ def cumulative_prob(r: RandomizedMatching, order, agent: AgentId,
                     threshold: int) -> float:
     """Mass the agent receives on partners ranked weakly above the
     threshold under `order` (the top-k cumulative, threshold included)."""
-    if not order.is_acceptable(threshold):
+    above = order.ranking[:order.ranking.index(threshold) + 1]
+    if BOTTOM in above:
         raise ValueError(f"threshold {threshold} is unacceptable under the given order")
     marginal = r.r[agent.index, :] if agent.side is Side.WORKER else r.r[:, agent.index]
     total = 0.0
     for x in range(marginal.shape[0]):
-        if order.prefers(x, threshold) or x == threshold:
+        if x in above:
             total += marginal[x]
     return float(total)
 
 
-def regret_agent(mech, profile: PreferenceProfile, agent: AgentId) -> float:
-    """Max FOSD cumulative gain for one agent over all enumerated
-    misreports and all acceptable thresholds, floored at 0.  Thresholds and
-    prefix sets come from the agent's true order."""
+def _prefix_misreports(side: Side, size: int, truth_prefix: tuple) -> list:
+    """The first misreport of each acceptable prefix other than
+    `truth_prefix`, in enumeration order.  The empty prefix is one of them:
+    under RSD another picker can still take an agent who accepts nobody."""
+    seen = {truth_prefix}
+    kept = []
+    for order in enumerate_misreports(side, size):
+        prefix = order.acceptable()
+        if prefix not in seen:
+            seen.add(prefix)
+            kept.append(order)
+    return kept
+
+
+def regret_agent(mech, profile: PreferenceProfile, agent: AgentId,
+                 r_truth: RandomizedMatching | None = None) -> float:
+    """Max FOSD cumulative gain for one agent over its misreports and all
+    acceptable thresholds, floored at 0.  Thresholds and prefix sets come
+    from the agent's true order; `r_truth` is the mechanism's outcome on
+    the profile, evaluated here when not given.  For DA and exact RSD it
+    evaluates one misreport per acceptable prefix (the empty one included)
+    and skips the truth's own prefix, since their outcome depends on the
+    prefixes alone; every other mechanism gets all (size+1)! misreports."""
     order = profile.order_of(agent)
     thresholds = list(order.acceptable())
     if not thresholds:
         return 0.0
     size = profile.m if agent.side is Side.WORKER else profile.n
-    r_truth = mech.evaluate(profile)
+    if r_truth is None:
+        r_truth = mech.evaluate(profile)
     truth_cum = {t: cumulative_prob(r_truth, order, agent, t) for t in thresholds}
+    if isinstance(mech, LiftedMechanism) and mech.reads_prefixes_only(profile):
+        misreports = _prefix_misreports(agent.side, size, order.acceptable())
+    else:
+        misreports = enumerate_misreports(agent.side, size)
     best = 0.0
-    for misreport in enumerate_misreports(agent.side, size):
+    for misreport in misreports:
         r_mis = mech.evaluate(profile.with_order(agent, misreport))
         for t in thresholds:
             gain = cumulative_prob(r_mis, order, agent, t) - truth_cum[t]
@@ -107,11 +132,16 @@ def regret_agent(mech, profile: PreferenceProfile, agent: AgentId) -> float:
     return best
 
 
-def regret_profile(mech, profile: PreferenceProfile) -> float:
-    """Two-sided average regret: 1/2 (worker mean + firm mean)."""
-    worker_mean = np.mean([regret_agent(mech, profile, AgentId(Side.WORKER, w))
+def regret_profile(mech, profile: PreferenceProfile,
+                   r_truth: RandomizedMatching | None = None) -> float:
+    """Two-sided average regret: 1/2 (worker mean + firm mean).  The
+    truthful outcome `r_truth` is evaluated once, when not given, and
+    shared by every agent."""
+    if r_truth is None:
+        r_truth = mech.evaluate(profile)
+    worker_mean = np.mean([regret_agent(mech, profile, AgentId(Side.WORKER, w), r_truth)
                            for w in range(profile.n)])
-    firm_mean = np.mean([regret_agent(mech, profile, AgentId(Side.FIRM, f))
+    firm_mean = np.mean([regret_agent(mech, profile, AgentId(Side.FIRM, f), r_truth)
                          for f in range(profile.m)])
     return float(0.5 * (worker_mean + firm_mean))
 
@@ -157,7 +187,8 @@ def entropy(r: RandomizedMatching) -> float:
 
 def evaluate(mech, profiles) -> EvalReport:
     """Arithmetic means of all per-profile metrics over a profile set.
-    Regret uses full misreport enumeration; for a network, stability
+    Each profile's truthful outcome is evaluated once and shared by every
+    metric; regret comes from `regret_profile`.  For a network, stability
     violation and regret come from the batched training search, which
     enumerates the same misreports."""
     if not profiles:
@@ -178,7 +209,7 @@ def evaluate(mech, profiles) -> EvalReport:
             wel_sum += welfare_profile(r, enc)
             sim_sum += similarity(r, profile)
             ent_sum += entropy(r)
-            rgt_sum += regret_profile(mech, profile) if rgt is None else rgt[idx]
+            rgt_sum += regret_profile(mech, profile, r) if rgt is None else rgt[idx]
         except Exception as err:
             raise RuntimeError(f"evaluation failed at profile {idx}") from err
     count = len(profiles)

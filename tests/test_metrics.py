@@ -9,7 +9,8 @@ from matchfrontier.mechanisms import (LiftedMechanism, MechanismKind, Proposing,
 from matchfrontier.net import NetworkDims, NetworkMechanism, init_params
 from matchfrontier.prefs import (BOTTOM, AgentId, DistributionConfig,
                                  DistributionKind, PreferenceOrder, Side,
-                                 encode, parse_profile, sample_profiles)
+                                 encode, enumerate_misreports, parse_profile,
+                                 sample_profiles)
 
 
 def random_profiles(count, n=3, m=3, seed=0):
@@ -132,6 +133,143 @@ class TestRegret:
                  for f in range(3)]
         expected = 0.5 * (np.mean(workers) + np.mean(firms))
         assert metrics.regret_profile(mech, example1) == pytest.approx(expected, abs=1e-12)
+
+
+class Delegating:
+    """The same mechanism behind a plain wrapper, so regret_agent
+    enumerates every misreport."""
+
+    def __init__(self, mech):
+        self.mech = mech
+
+    def evaluate(self, profile):
+        return self.mech.evaluate(profile)
+
+
+class Recording(LiftedMechanism):
+    """A lifted mechanism that keeps every profile it evaluates."""
+
+    def __init__(self, kind):
+        super().__init__(kind)
+        self.seen = []
+
+    def evaluate(self, profile):
+        self.seen.append(profile)
+        return super().evaluate(profile)
+
+
+def count_evaluations(monkeypatch, cls):
+    calls = []
+    inner = cls.evaluate
+
+    def counted(self, *args):
+        calls.append(args)
+        return inner(self, *args)
+
+    monkeypatch.setattr(cls, "evaluate", counted)
+    return calls
+
+
+EXACT_KINDS = [MechanismKind.WDA, MechanismKind.FDA, MechanismKind.RSD]
+
+
+class TestPrefixRegret:
+    """DA and exact RSD read acceptable prefixes only, so regret_agent
+    evaluates one misreport per prefix and skips the truth's."""
+
+    @pytest.mark.parametrize("kind", EXACT_KINDS)
+    @pytest.mark.parametrize("cfg, count", [
+        (DistributionConfig(DistributionKind.UNCORRELATED, 3, 3, p_trunc=0.0, seed=61), 8),
+        (DistributionConfig(DistributionKind.UNCORRELATED, 3, 3, p_trunc=0.2, seed=62), 8),
+        (DistributionConfig(DistributionKind.UNCORRELATED, 3, 3, p_trunc=0.5, seed=63), 8),
+        (DistributionConfig(DistributionKind.UNCORRELATED, 2, 3, p_trunc=0.3, seed=64), 10),
+        (DistributionConfig(DistributionKind.UNCORRELATED, 3, 2, p_trunc=0.3, seed=65), 10),
+        (DistributionConfig(DistributionKind.UNCORRELATED, 1, 3, p_trunc=0.3, seed=66), 10),
+        (DistributionConfig(DistributionKind.CORRELATED, 4, 4, p_corr=0.25, seed=67), 1),
+    ], ids=["3x3-t0", "3x3-t0.2", "3x3-t0.5", "2x3", "3x2", "1x3", "4x4-corr"])
+    def test_equals_full_enumeration(self, kind, cfg, count):
+        mech = LiftedMechanism(kind)
+        full = Delegating(mech)
+        for profile in sample_profiles(cfg, count):
+            for agent in profile.agents():
+                assert metrics.regret_agent(mech, profile, agent) == \
+                    metrics.regret_agent(full, profile, agent)
+            assert metrics.regret_profile(mech, profile) == \
+                metrics.regret_profile(full, profile)
+
+    @pytest.mark.parametrize("kind", EXACT_KINDS)
+    def test_same_prefix_same_outcome(self, kind):
+        # the fact the dedupe rests on: reports that differ only in the
+        # order of their unacceptable partners give bitwise-equal marginals
+        mech = LiftedMechanism(kind)
+        for profile in random_profiles(3, seed=68):
+            for agent in profile.agents():
+                outcomes = {}
+                for order in enumerate_misreports(agent.side, 3):
+                    r = mech.evaluate(profile.with_order(agent, order)).r
+                    first = outcomes.setdefault(order.acceptable(), r)
+                    assert np.array_equal(r, first)
+
+    def test_monte_carlo_rsd_reads_whole_orders(self):
+        # the sampler is seeded from the whole profile text, so reports
+        # with the same prefix can give different estimates
+        mech = LiftedMechanism(MechanismKind.RSD, mc_samples=50)
+        profile = random_profiles(1, n=4, m=5, seed=69)[0]
+        assert not mech.reads_prefixes_only(profile)
+        agent = AgentId(Side.FIRM, 0)
+        same_prefix = [o for o in enumerate_misreports(Side.FIRM, 4)
+                       if o.acceptable() == (0,)]
+        outcomes = [mech.evaluate(profile.with_order(agent, o)).r for o in same_prefix]
+        assert any(not np.array_equal(r, outcomes[0]) for r in outcomes[1:])
+
+    @pytest.mark.parametrize("kind", EXACT_KINDS)
+    def test_one_misreport_per_prefix(self, kind, example1):
+        # 16 acceptable prefixes over 3 partners (the empty one included),
+        # each evaluated once, except the truth's
+        for agent in example1.agents():
+            mech = Recording(kind)
+            metrics.regret_agent(mech, example1, agent)
+            truth = example1.order_of(agent).acceptable()
+            prefixes = [p.order_of(agent).acceptable() for p in mech.seen[1:]]
+            assert mech.seen[0] == example1
+            assert len(prefixes) == len(set(prefixes)) == 15
+            assert truth not in prefixes and () in prefixes
+
+    def test_reporting_nobody_still_matched_under_rsd(self):
+        # w1 truly ranks f1 > f2 and gets f1 with 2/3 (w1 or f1 acts
+        # first) and f2 with 1/3.  Reporting nobody, w1 is still taken by
+        # whichever firm acts first: 1/2 each.  So the empty prefix has its
+        # own outcome and is evaluated
+        profile = parse_profile("f1,f2,_|w1,_;w1,_")
+        mech = Recording(MechanismKind.RSD)
+        assert metrics.regret_agent(mech, profile, AgentId(Side.WORKER, 0)) == 0.0
+        outcomes = {p.workers[0].acceptable(): mech.evaluate(p).r[0].tolist()
+                    for p in mech.seen[1:]}
+        assert sorted(outcomes) == [(), (0,), (1,), (1, 0)]
+        assert outcomes[()] == [0.5, 0.5]
+        assert mech.evaluate(profile).r[0].tolist() == [2 / 3, 1 / 3]
+
+    @pytest.mark.parametrize("kind", EXACT_KINDS)
+    def test_evaluate_calls_per_profile(self, kind, example1, monkeypatch):
+        # one truth, then 15 misreports for each of the 6 agents
+        calls = count_evaluations(monkeypatch, LiftedMechanism)
+        metrics.evaluate(LiftedMechanism(kind), [example1])
+        assert len(calls) == 1 + 6 * 15
+
+    def test_monte_carlo_rsd_enumerates_every_misreport(self, monkeypatch):
+        profile = sample_profiles(DistributionConfig(
+            DistributionKind.UNCORRELATED, 4, 5, p_trunc=0.0, seed=70), 1)[0]
+        calls = count_evaluations(monkeypatch, LiftedMechanism)
+        metrics.evaluate(LiftedMechanism(MechanismKind.RSD, mc_samples=2), [profile])
+        # workers rank 5 firms (720 orders), firms rank 4 workers (120)
+        assert len(calls) == 1 + 4 * 720 + 5 * 120
+
+    def test_network_enumerates_every_misreport(self, example1, monkeypatch):
+        dims = NetworkDims(3, 3, R=2, J=8)
+        mech = NetworkMechanism(init_params(dims, seed=3), dims)
+        calls = count_evaluations(monkeypatch, NetworkMechanism)
+        metrics.regret_profile(mech, example1)
+        assert len(calls) == 1 + 6 * 24
 
 
 class TestWelfare:
