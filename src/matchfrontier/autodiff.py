@@ -195,16 +195,18 @@ def backward(tape: Tape, output: Node) -> None:
 # ---------------------------------------------------------------------------
 # Optimizer
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimizerState:
     """Adam with decoupled (multiplicative) weight decay.  Moments mirror
-    the parameter structure: a list of (weight, bias) pairs."""
+    the parameter structure: per layer, a [weight, bias] list."""
 
     lr: float
     weight_decay: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
@@ -212,8 +214,8 @@ class OptimizerState:
     @classmethod
     def for_params(cls, params, lr: float, weight_decay: float) -> "OptimizerState":
         state = cls(lr=lr, weight_decay=weight_decay)
-        state.m = [tuple(np.zeros_like(a) for a in group) for group in params]
-        state.v = [tuple(np.zeros_like(a) for a in group) for group in params]
+        state.m = [[np.zeros_like(a) for a in group] for group in params]
+        state.v = [[np.zeros_like(a) for a in group] for group in params]
         return state
 
 
@@ -226,17 +228,15 @@ def adam_step(state: OptimizerState, params, grads):
             if not np.all(np.isfinite(g)):
                 raise NumericError("non-finite gradient; update aborted")
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     new_params = []
-    for i, (group, grad_group) in enumerate(zip(params, grads)):
+    for group, grad_group, m_group, v_group in zip(params, grads, state.m, state.v):
         new_group = []
         for j, (param, grad) in enumerate(zip(group, grad_group)):
-            m = state.beta1 * state.m[i][j] + (1.0 - state.beta1) * grad
-            v = state.beta2 * state.v[i][j] + (1.0 - state.beta2) * grad * grad
-            state.m[i] = state.m[i][:j] + (m,) + state.m[i][j + 1:]
-            state.v[i] = state.v[i][:j] + (v,) + state.v[i][j + 1:]
-            update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+            m = m_group[j] = ADAM_BETA1 * m_group[j] + (1.0 - ADAM_BETA1) * grad
+            v = v_group[j] = ADAM_BETA2 * v_group[j] + (1.0 - ADAM_BETA2) * grad * grad
+            update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             new_group.append(param * (1.0 - state.lr * state.weight_decay) - update)
         new_params.append(tuple(new_group))
     return new_params, state

@@ -144,18 +144,24 @@ def train_config_from_settings(settings, checkpoint_path, log_path="") -> TrainC
                        checkpoint_path=checkpoint_path, log_path=log_path)
 
 
-def load_mechanism(args):
-    """Mechanism plus its lambda (None for baselines) from --mechanism or
-    --checkpoint."""
-    if getattr(args, "mechanism", None):
+def load_source(args):
+    """The mechanism of --mechanism or --checkpoint, its lambda (None for
+    baselines), and the profiles of --profiles, of which there must be
+    at least one."""
+    if args.mechanism:
         label = args.mechanism.lower()
         if label not in BASELINE_LABELS:
             raise ConfigError(f"mechanism must be one of {BASELINE_LABELS}")
-        return LiftedMechanism(MechanismKind(label)), None
-    if getattr(args, "checkpoint", None):
+        mech, lam = LiftedMechanism(MechanismKind(label)), None
+    elif args.checkpoint:
         params, dims, lam, _seed = load_checkpoint(args.checkpoint)
-        return NetworkMechanism(params, dims), lam
-    raise ConfigError("need --mechanism or --checkpoint")
+        mech = NetworkMechanism(params, dims)
+    else:
+        raise ConfigError("need --mechanism or --checkpoint")
+    profiles = read_profiles(args.profiles)
+    if not profiles:
+        raise ConfigError(f"no profiles in {args.profiles}")
+    return mech, lam, profiles
 
 
 def fmt(x) -> str:
@@ -220,10 +226,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    mech, lam = load_mechanism(args)
-    profiles = read_profiles(args.profiles)
-    if not profiles:
-        raise ConfigError(f"no profiles in {args.profiles}")
+    mech, lam, profiles = load_source(args)
     report = metrics.evaluate(mech, profiles)
     label = args.label or getattr(mech, "label", "mechanism")
     row = eval_row(label, lam, report)
@@ -319,10 +322,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    mech, _ = load_mechanism(args)
-    profiles = read_profiles(args.profiles)
-    if not profiles:
-        raise ConfigError(f"no profiles in {args.profiles}")
+    mech, _, profiles = load_source(args)
     worst = 0.0
     for idx, profile in enumerate(profiles):
         gains = oracle.fosd_audit(mech, profile)
@@ -341,10 +341,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    mech, _ = load_mechanism(args)
-    profiles = read_profiles(args.profiles)
-    if not profiles:
-        raise ConfigError(f"no profiles in {args.profiles}")
+    mech, _, profiles = load_source(args)
     for profile in profiles:
         decomposition = bvn_decompose(mech.evaluate(profile))
         parts = [f"{fmt(weight)} {format_matching(matching)}"
@@ -415,12 +412,16 @@ def build_parser() -> argparse.ArgumentParser:
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("--config", help="flat key = value config file")
-            p.add_argument("--preset", choices=sorted(PRESETS),
-                           help="named defaults; config file overrides")
-            p.add_argument("--seed", type=int)
+    def add_common(p):
+        p.add_argument("--config", help="flat key = value config file")
+        p.add_argument("--preset", choices=sorted(PRESETS),
+                       help="named defaults; config file overrides")
+        p.add_argument("--seed", type=int)
+
+    def add_source(p, mechanism_help=None):
+        p.add_argument("--checkpoint")
+        p.add_argument("--mechanism", help=mechanism_help)
+        p.add_argument("--profiles", required=True)
 
     p = sub.add_parser("gen", help="sample preference profiles to a file")
     add_common(p)
@@ -437,9 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a mechanism on a profile file")
-    p.add_argument("--checkpoint")
-    p.add_argument("--mechanism", help="wda | fda | rsd")
-    p.add_argument("--profiles", required=True)
+    add_source(p, "wda | fda | rsd")
     p.add_argument("--out", help="CSV to append the row to")
     p.add_argument("--label")
     p.add_argument("--matchings-out", help="write one sampled matching per profile here")
@@ -453,16 +452,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("audit", help="brute-force FOSD and stability audit")
-    p.add_argument("--checkpoint")
-    p.add_argument("--mechanism")
-    p.add_argument("--profiles", required=True)
+    add_source(p)
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("decompose", help="BvN-decompose mechanism outputs")
-    p.add_argument("--checkpoint")
-    p.add_argument("--mechanism")
-    p.add_argument("--profiles", required=True)
+    add_source(p)
     p.set_defaults(func=cmd_decompose)
     return parser
 

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prefs import (BOTTOM, AgentId, EncodedProfile, PreferenceProfile, Side,
-                    encode_many, enumerate_misreports)
+from .prefs import (EncodedProfile, PreferenceProfile, Side, encode_many,
+                    enumerate_misreports, rank_arrays)
 from .mechanisms import LiftedMechanism, Proposing, RandomizedMatching, da
 from .net import NetworkMechanism
 
@@ -73,77 +73,111 @@ def irv_profile(r: RandomizedMatching, enc: EncodedProfile) -> float:
                  + (r.r * np.maximum(-enc.p, 0.0)).sum() / (2 * n))
 
 
-def cumulative_prob(r: RandomizedMatching, order, agent: AgentId,
-                    threshold: int) -> float:
-    """Mass the agent receives on partners ranked weakly above the
-    threshold under `order` (the top-k cumulative, threshold included)."""
-    above = order.ranking[:order.ranking.index(threshold) + 1]
-    if BOTTOM in above:
-        raise ValueError(f"threshold {threshold} is unacceptable under the given order")
-    marginal = r.r[agent.index, :] if agent.side is Side.WORKER else r.r[:, agent.index]
-    total = 0.0
-    for x in range(marginal.shape[0]):
-        if x in above:
-            total += marginal[x]
-    return float(total)
+def threshold_sets(rank_w, cut_w, rank_f, cut_f, n: int, m: int):
+    """Prefix-set indicators ind (B, n+m, TH, n, m) and their validity
+    (B, n+m, TH), TH = max(n, m), agents workers first, from the
+    `rank_arrays` of B profiles' worker orders and firm orders.  Slot t
+    of an agent is valid below its cut: its threshold is the partner
+    ranked t, and its prefix set every partner ranked at or above t."""
+    B, A, TH = rank_w.shape[0] // n, n + m, max(n, m)
+    rank_w, cut_w = rank_w.reshape(B, n, m), cut_w.reshape(B, n, 1)
+    rank_f, cut_f = rank_f.reshape(B, m, n), cut_f.reshape(B, m, 1)
+    slots = np.arange(TH)
+    valid_w = slots < cut_w                          # (B, n, TH)
+    valid_f = slots < cut_f                          # (B, m, TH)
+    ind_w = (rank_w[:, :, None, :] <= slots[:, None]) & valid_w[..., None]
+    ind_f = (rank_f[:, :, None, :] <= slots[:, None]) & valid_f[..., None]
+    ind = np.zeros((B, A, TH, n, m))
+    workers, firms = np.arange(n), np.arange(m)
+    # the two advanced indices are split by a slice, so their axis leads
+    ind[:, workers, :, workers, :] = ind_w.transpose(1, 0, 2, 3)
+    ind[:, n + firms, :, :, firms] = ind_f.transpose(1, 0, 2, 3)
+    return ind, np.concatenate([valid_w, valid_f], axis=1)
 
 
-def _prefix_misreports(side: Side, size: int, truth_prefix: tuple) -> list:
-    """The first misreport of each acceptable prefix other than
-    `truth_prefix`, in enumeration order.  The empty prefix is one of them:
-    under RSD another picker can still take an agent who accepts nobody."""
-    seen = {truth_prefix}
-    kept = []
+def cumulative_prob(r, ind):
+    """Mass that K reports' marginals r (B, A, K, n, m) put on each of the
+    TH prefix sets ind (B, A, TH, n, m) of A agents: (B, A, K, TH).  A
+    size-1 agent or report axis of r broadcasts."""
+    return np.einsum("bakwf,batwf->bakt", r, ind)
+
+
+def fosd_search(r_truth, r_var, ind, valid, n: int, m: int, Kw: int, Kf: int):
+    """Per (profile, agent), workers first: the index of the best report
+    in its side's table (-1 when truth wins), its threshold slot, and its
+    FOSD gain (0 when truth wins), from the truthful marginals (B, n, m)
+    and the reports' (B, n*Kw + m*Kf, n, m): each worker's Kw rows, then
+    each firm's Kf; ind and valid come from `threshold_sets`."""
+    B, A, TH = valid.shape
+    cum_truth = cumulative_prob(r_truth[:, None, None], ind)[:, :, 0]  # (B, A, TH)
+    best_k = np.full((B, A), -1, dtype=np.int64)
+    best_th = np.zeros((B, A), dtype=np.int64)
+    best_gain = np.zeros((B, A))
+    # a side's variant rows start at offset * Kw: 0 for workers, n * Kw for firms
+    for offset, count, K in ((0, n, Kw), (n, m, Kf)):
+        agents = slice(offset, offset + count)
+        r_side = r_var[:, offset * Kw:offset * Kw + count * K].reshape(B, count, K, n, m)
+        cum = cumulative_prob(r_side, ind[:, agents])  # (B, count, K, TH)
+        # max over valid thresholds of (cum_mis - cum_truth); ties resolved by
+        # argmax order: misreport table order first, threshold order second
+        diff = cum - cum_truth[:, agents, None, :]
+        diff = np.where(valid[:, agents, None, :], diff, -np.inf)
+        flat = diff.reshape(B, count, -1)
+        arg = np.argmax(flat, axis=2)
+        top = np.take_along_axis(flat, arg[:, :, None], axis=2)[:, :, 0]
+        positive = top > 0.0
+        best_gain[:, agents] = np.where(positive, top, 0.0)
+        best_k[:, agents] = np.where(positive, arg // TH, -1)
+        best_th[:, agents] = np.where(positive, arg % TH, 0)
+    return best_k, best_th, best_gain
+
+
+def _prefix_misreports(side: Side, size: int) -> list:
+    """The first misreport of each acceptable prefix, in enumeration order.
+    The empty prefix is one of them: under RSD another picker can still
+    take an agent who accepts nobody."""
+    first = {}
     for order in enumerate_misreports(side, size):
-        prefix = order.acceptable()
-        if prefix not in seen:
-            seen.add(prefix)
-            kept.append(order)
-    return kept
+        first.setdefault(order.acceptable(), order)
+    return list(first.values())
 
 
-def regret_agent(mech, profile: PreferenceProfile, agent: AgentId,
-                 r_truth: RandomizedMatching | None = None) -> float:
-    """Max FOSD cumulative gain for one agent over its misreports and all
-    acceptable thresholds, floored at 0.  Thresholds and prefix sets come
-    from the agent's true order; `r_truth` is the mechanism's outcome on
-    the profile, evaluated here when not given.  For DA and exact RSD it
-    evaluates one misreport per acceptable prefix (the empty one included)
-    and skips the truth's own prefix, since their outcome depends on the
-    prefixes alone; every other mechanism gets all (size+1)! misreports."""
-    order = profile.order_of(agent)
-    thresholds = list(order.acceptable())
-    if not thresholds:
-        return 0.0
-    size = profile.m if agent.side is Side.WORKER else profile.n
+def regret_gains(mech, profile: PreferenceProfile,
+                 r_truth: RandomizedMatching | None = None) -> np.ndarray:
+    """Per-agent max FOSD gain over misreports and the true order's
+    acceptable thresholds, floored at 0, workers then firms.  `r_truth`
+    is the mechanism's outcome on the profile, evaluated here when not
+    given.  DA and exact RSD read acceptable prefixes only, so each side's
+    table holds one misreport per acceptable prefix (the empty one
+    included); every other mechanism gets all (size+1)! misreports.  The
+    truth's own prefix slot and every slot of an agent with no acceptable
+    partner reuse `r_truth`; every other slot is one `mech.evaluate`."""
+    n, m = profile.n, profile.m
     if r_truth is None:
         r_truth = mech.evaluate(profile)
-    truth_cum = {t: cumulative_prob(r_truth, order, agent, t) for t in thresholds}
-    if isinstance(mech, LiftedMechanism) and mech.reads_prefixes_only(profile):
-        misreports = _prefix_misreports(agent.side, size, order.acceptable())
-    else:
-        misreports = enumerate_misreports(agent.side, size)
-    best = 0.0
-    for misreport in misreports:
-        r_mis = mech.evaluate(profile.with_order(agent, misreport))
-        for t in thresholds:
-            gain = cumulative_prob(r_mis, order, agent, t) - truth_cum[t]
-            best = max(best, gain)
-    return best
+    prefixes = isinstance(mech, LiftedMechanism) and mech.reads_prefixes_only(profile)
+    table = _prefix_misreports if prefixes else enumerate_misreports
+    tables = {Side.WORKER: table(Side.WORKER, m), Side.FIRM: table(Side.FIRM, n)}
+    r_var = []
+    for agent in profile.agents():
+        truth = profile.order_of(agent).acceptable()
+        for report in tables[agent.side]:
+            reuse = not truth or (prefixes and report.acceptable() == truth)
+            r_var.append(r_truth.r if reuse
+                         else mech.evaluate(profile.with_order(agent, report)).r)
+    ind, valid = threshold_sets(*rank_arrays(profile.workers, m),
+                                *rank_arrays(profile.firms, n), n, m)
+    _, _, gains = fosd_search(r_truth.r[None], np.array(r_var)[None], ind, valid,
+                              n, m, len(tables[Side.WORKER]), len(tables[Side.FIRM]))
+    return gains[0]
 
 
 def regret_profile(mech, profile: PreferenceProfile,
                    r_truth: RandomizedMatching | None = None) -> float:
-    """Two-sided average regret: 1/2 (worker mean + firm mean).  The
-    truthful outcome `r_truth` is evaluated once, when not given, and
-    shared by every agent."""
-    if r_truth is None:
-        r_truth = mech.evaluate(profile)
-    worker_mean = np.mean([regret_agent(mech, profile, AgentId(Side.WORKER, w), r_truth)
-                           for w in range(profile.n)])
-    firm_mean = np.mean([regret_agent(mech, profile, AgentId(Side.FIRM, f), r_truth)
-                         for f in range(profile.m)])
-    return float(0.5 * (worker_mean + firm_mean))
+    """Two-sided average regret: 1/2 (worker mean + firm mean) of
+    `regret_gains`."""
+    gains = regret_gains(mech, profile, r_truth)
+    return float(0.5 * (np.mean(gains[:profile.n]) + np.mean(gains[profile.n:])))
 
 
 def welfare_profile(r: RandomizedMatching, enc: EncodedProfile) -> float:
@@ -189,8 +223,10 @@ def evaluate(mech, profiles) -> EvalReport:
     """Arithmetic means of all per-profile metrics over a profile set.
     Each profile's truthful outcome is evaluated once and shared by every
     metric; regret comes from `regret_profile`.  For a network, stability
-    violation and regret come from the batched training search, which
-    enumerates the same misreports."""
+    violation and regret come from the batched training search.  It runs
+    the same `fosd_search`, but its tables drop the reports that accept
+    nobody: the network's mask gives those all-zero marginals, which never
+    gain."""
     if not profiles:
         raise ValueError("profile list is empty")
     stv = rgt = marginals = None

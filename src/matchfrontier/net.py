@@ -193,22 +193,32 @@ def save_checkpoint(path, params, dims: NetworkDims, lam: float, seed: int) -> N
         raise
 
 
+def _read_exact(fh, count: int, what: str) -> bytes:
+    data = fh.read(count)
+    if len(data) != count:
+        raise CheckpointError(f"truncated checkpoint: {what} needs {count} bytes, "
+                              f"{len(data)} left")
+    return data
+
+
 def load_checkpoint(path):
     """Returns (params, dims, lambda, seed); parameters come back as f64
     copies of the stored f32 values."""
     with open(path, "rb") as fh:
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise CheckpointError("not a matching-network checkpoint")
-        header = fh.read(struct.calcsize("<IIIIIIQ"))
+        header = _read_exact(fh, struct.calcsize("<IIIIIIQ"), "header")
         version, n, m, R, J, lam_scaled, seed = struct.unpack("<IIIIIIQ", header)
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         dims = NetworkDims(n=n, m=m, R=R, J=J)
         params = []
-        for (w_shape, b_shape) in layer_shapes(dims):
+        for layer, (w_shape, b_shape) in enumerate(layer_shapes(dims)):
             w_count = w_shape[0] * w_shape[1]
-            weight = np.frombuffer(fh.read(4 * w_count), dtype="<f4").reshape(w_shape)
-            bias = np.frombuffer(fh.read(4 * b_shape[0]), dtype="<f4")
+            weight = np.frombuffer(_read_exact(fh, 4 * w_count, f"layer {layer} weights"),
+                                   dtype="<f4").reshape(w_shape)
+            bias = np.frombuffer(_read_exact(fh, 4 * b_shape[0], f"layer {layer} biases"),
+                                 dtype="<f4")
             params.append((weight.astype(np.float64), bias.astype(np.float64)))
         if fh.read(1):
             raise CheckpointError("trailing bytes in checkpoint")

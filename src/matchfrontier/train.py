@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff, net
 from .autodiff import NumericError, OptimizerState, Tape, adam_step, backward, lr_schedule
-from .metrics import stv_batch
+from .metrics import fosd_search, stv_batch, threshold_sets
 from .net import NetworkDims, NumericOverflowError, init_params
 from .prefs import (DistributionConfig, Side, encode_arrays, encode_ranks,
                     enumerate_misreports, profile_stream, rank_arrays,
@@ -95,28 +95,11 @@ class _Batch:
     """
 
     def __init__(self, profiles, dims: NetworkDims):
-        n, m = dims.n, dims.m
         B = len(profiles)
-        A = n + m
-        TH = max(n, m)
         self.profiles = profiles
-        self.P, self.Q, (rank_w, cut_w, rank_f, cut_f) = encode_arrays(profiles, n, m)
+        self.P, self.Q, ranks = encode_arrays(profiles, dims.n, dims.m)
         self.beta = net.acceptability_mask(self.P, self.Q)
-        rank_w, cut_w = rank_w.reshape(B, n, m), cut_w.reshape(B, n, 1)
-        rank_f, cut_f = rank_f.reshape(B, m, n), cut_f.reshape(B, m, 1)
-        # the threshold at slot t < cut is the partner ranked t; the prefix
-        # set up to it is every partner ranked at or above t
-        slots = np.arange(TH)
-        valid_w = slots < cut_w                          # (B, n, TH)
-        valid_f = slots < cut_f                          # (B, m, TH)
-        ind_w = (rank_w[:, :, None, :] <= slots[:, None]) & valid_w[..., None]
-        ind_f = (rank_f[:, :, None, :] <= slots[:, None]) & valid_f[..., None]
-        self.ind = np.zeros((B, A, TH, n, m))      # prefix-set indicators
-        workers, firms = np.arange(n), np.arange(m)
-        # the two advanced indices are split by a slice, so their axis leads
-        self.ind[:, workers, :, workers, :] = ind_w.transpose(1, 0, 2, 3)
-        self.ind[:, n + firms, :, :, firms] = ind_f.transpose(1, 0, 2, 3)
-        self.thr_valid = np.concatenate([valid_w, valid_f], axis=1)
+        self.ind, self.thr_valid = threshold_sets(*ranks, dims.n, dims.m)
         self.X = np.concatenate([self.P.reshape(B, -1), self.Q.reshape(B, -1)], axis=1)
 
 
@@ -153,40 +136,14 @@ def _variant_inputs(batch: _Batch, dims: NetworkDims, tables):
 
 def _search_defeating(params, dims: NetworkDims, batch: _Batch, variants, r_truth):
     """Per (profile, agent): best misreport index (-1 when truth wins), the
-    winning threshold slot, and the gain (0 when truth wins).  `variants` is
-    the batch's _variant_inputs; `r_truth` holds the caller's marginals
-    (B, n, m) of the batch's truthful inputs."""
-    n, m = dims.n, dims.m
-    B = len(batch.profiles)
-    A = n + m
+    winning threshold slot, and the gain (0 when truth wins), from
+    `metrics.fosd_search` over the network's marginals of every variant.
+    `variants` is the batch's _variant_inputs; `r_truth` holds the
+    caller's marginals (B, n, m) of the batch's truthful inputs."""
     Xv, Bv, (Kw, Kf) = variants
-
-    cum_truth = np.einsum("bqtwf,bwf->bqt", batch.ind, r_truth)  # (B, A, TH)
-    r_var = _forward_chunked(params, dims, Xv, Bv).reshape(B, -1, n, m)
-
-    TH = batch.ind.shape[2]
-    best_k = np.full((B, A), -1, dtype=np.int64)
-    best_th = np.zeros((B, A), dtype=np.int64)
-    best_gain = np.zeros((B, A))
-    # a side's variant rows start at offset * Kw: 0 for workers, n * Kw for firms
-    for offset, count, K in ((0, n, Kw), (n, m, Kf)):
-        if count == 0:
-            continue
-        agents = slice(offset, offset + count)
-        r_side = r_var[:, offset * Kw:offset * Kw + count * K].reshape(B, count, K, n, m)
-        cum = np.einsum("bakwf,batwf->bakt", r_side, batch.ind[:, agents])  # (B, count, K, TH)
-        # max over valid thresholds of (cum_mis - cum_truth); ties resolved by
-        # argmax order: misreport enumeration order first, threshold order second
-        diff = cum - cum_truth[:, agents, None, :]
-        diff = np.where(batch.thr_valid[:, agents, None, :], diff, -np.inf)
-        flat = diff.reshape(B, count, -1)
-        arg = np.argmax(flat, axis=2)
-        top = np.take_along_axis(flat, arg[:, :, None], axis=2)[:, :, 0]
-        positive = top > 0.0
-        best_gain[:, agents] = np.where(positive, top, 0.0)
-        best_k[:, agents] = np.where(positive, arg // TH, -1)
-        best_th[:, agents] = np.where(positive, arg % TH, 0)
-    return best_k, best_th, best_gain
+    r_var = _forward_chunked(params, dims, Xv, Bv).reshape(len(batch.profiles), -1,
+                                                           dims.n, dims.m)
+    return fosd_search(r_truth, r_var, batch.ind, batch.thr_valid, dims.n, dims.m, Kw, Kf)
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,16 @@ class TestEval:
                         "--profiles", profile_file]) == 2
 
 
+    def test_truncated_checkpoint_is_validation_error(self, tmp_path, profile_file, capsys):
+        dims = NetworkDims(2, 2, R=2, J=6)
+        ckpt = tmp_path / "cut.ckpt"
+        save_checkpoint(ckpt, init_params(dims, seed=4), dims, 0.5, 4)
+        ckpt.write_bytes(ckpt.read_bytes()[:-4])
+        assert cli.main(["eval", "--checkpoint", str(ckpt),
+                        "--profiles", profile_file]) == 1
+        assert "error: truncated checkpoint" in capsys.readouterr().err
+
+
 class TestTrainCommand:
     def test_writes_checkpoint_and_log(self, tmp_path, tiny_cfg):
         ckpt = tmp_path / "run.ckpt"
@@ -199,6 +209,20 @@ class TestSweep:
         (out_dir / "lambda_0.ckpt").write_bytes(b"corrupt")
         assert cli.main(["sweep", "--config", tiny_cfg, "--lambdas", "0",
                         "--out-dir", str(out_dir)]) == cli.SWEEP_POINTS_FAILED
+        with open(out_dir / "frontier.csv") as fh:
+            labels = [r[0] for r in list(csv.reader(fh))[1:]]
+        assert labels == ["wda", "fda", "rsd", "da-best"]
+
+    def test_truncated_checkpoint_fails_its_point(self, tmp_path, tiny_cfg, capsys):
+        out_dir = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", tiny_cfg, "--lambdas", "0",
+                        "--out-dir", str(out_dir)]) == 0
+        ckpt = out_dir / "lambda_0.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:-8])
+        capsys.readouterr()
+        assert cli.main(["sweep", "--config", tiny_cfg, "--lambdas", "0",
+                        "--out-dir", str(out_dir)]) == cli.SWEEP_POINTS_FAILED
+        assert "truncated checkpoint" in capsys.readouterr().err
         with open(out_dir / "frontier.csv") as fh:
             labels = [r[0] for r in list(csv.reader(fh))[1:]]
         assert labels == ["wda", "fda", "rsd", "da-best"]

@@ -7,10 +7,9 @@ from matchfrontier import metrics
 from matchfrontier.mechanisms import (LiftedMechanism, MechanismKind, Proposing,
                                       RandomizedMatching, da, rsd_exact)
 from matchfrontier.net import NetworkDims, NetworkMechanism, init_params
-from matchfrontier.prefs import (BOTTOM, AgentId, DistributionConfig,
-                                 DistributionKind, PreferenceOrder, Side,
-                                 encode, enumerate_misreports, parse_profile,
-                                 sample_profiles)
+from matchfrontier.prefs import (AgentId, DistributionConfig, DistributionKind,
+                                 Side, encode, enumerate_misreports, parse_profile,
+                                 rank_arrays, sample_profiles)
 
 
 def random_profiles(count, n=3, m=3, seed=0):
@@ -92,32 +91,91 @@ class TestIrViolation:
             0.5 / (2 * 1), abs=1e-12)
 
 
+def example_sets(profile):
+    """threshold_sets of one profile."""
+    return metrics.threshold_sets(*rank_arrays(profile.workers, profile.m),
+                                  *rank_arrays(profile.firms, profile.n),
+                                  profile.n, profile.m)
+
+
 class TestCumulativeProb:
     def test_weak_includes_threshold(self, example1, rsd_expected):
-        r = RandomizedMatching(rsd_expected)
-        # w1's order is f2 > f3 > f1; threshold f3 includes f2 and f3
-        got = metrics.cumulative_prob(r, example1.workers[0],
-                                      AgentId(Side.WORKER, 0), 2)
-        assert got == pytest.approx(1 / 4 + 7 / 24, abs=1e-12)
+        ind, valid = example_sets(example1)
+        cum = metrics.cumulative_prob(rsd_expected[None, None, None], ind)
+        # w1's order is f2 > f3 > f1; slot 1's threshold f3 includes f2 and f3
+        assert valid[0, 0, 1]
+        assert cum[0, 0, 0, 1] == pytest.approx(1 / 4 + 7 / 24, abs=1e-12)
 
-    def test_unacceptable_threshold_rejected(self):
-        order = PreferenceOrder((0, BOTTOM, 1))
-        r = RandomizedMatching(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            metrics.cumulative_prob(r, order, AgentId(Side.WORKER, 0), 1)
+
+def one_profile_search(r_truth, r_var, ind, valid, n, m, Kw, Kf):
+    best_k, best_th, best_gain = metrics.fosd_search(
+        np.array(r_truth, dtype=float)[None], np.array(r_var, dtype=float)[None],
+        ind, valid, n, m, Kw, Kf)
+    return best_k[0], best_th[0], best_gain[0]
+
+
+class TestFosdSearch:
+    """The one FOSD kernel on hand-built marginals of a 1x2 market: w1
+    ranks f1 > f2, so its slot 0 holds {f1} and slot 1 {f1, f2}; each firm
+    accepts w1 only, so its slot 1 is padding."""
+
+    PROFILE = "f1,f2,_|w1,_;w1,_"
+    TRUTH = [[0.5, 0.25]]
+
+    def sets(self):
+        ind, valid = example_sets(parse_profile(self.PROFILE))
+        assert valid[0].tolist() == [[True, True], [True, False], [True, False]]
+        return ind, valid
+
+    def test_variant_tying_truth_keeps_truth(self):
+        ind, valid = self.sets()
+        # one report per agent, each with the truthful marginals
+        best_k, best_th, best_gain = one_profile_search(
+            self.TRUTH, [self.TRUTH] * 3, ind, valid, 1, 2, 1, 1)
+        assert best_k.tolist() == [-1, -1, -1]
+        assert best_th.tolist() == [0, 0, 0]
+        assert best_gain.tolist() == [0.0, 0.0, 0.0]
+
+    def test_first_of_equal_gains_wins(self):
+        ind, valid = self.sets()
+        # w1's reports: a loss, +1/4 at slot 0, then +1/4 at slot 1
+        worker = [[[0.25, 0.25]], [[0.75, 0.0]], [[0.5, 0.5]]]
+        firms = [self.TRUTH] * 3 * 2
+        best_k, best_th, best_gain = one_profile_search(
+            self.TRUTH, worker + firms, ind, valid, 1, 2, 3, 3)
+        assert (best_k[0], best_th[0], best_gain[0]) == (1, 0, 0.25)
+        # swapping the two winners swaps the index and the slot
+        best_k, best_th, best_gain = one_profile_search(
+            self.TRUTH, [worker[0], worker[2], worker[1]] + firms, ind, valid, 1, 2, 3, 3)
+        assert (best_k[0], best_th[0], best_gain[0]) == (1, 1, 0.25)
+        assert best_k[1:].tolist() == [-1, -1]
+
+    def test_padded_slots_ignored(self):
+        ind, valid = self.sets()
+        # f1's report loses at its one valid slot (1/2 -> 1/4 on w1); its
+        # padded slot 1, filled with the (w1, f2) cell, would show +1/2
+        ind[0, 1, 1, 0, :] = [0.0, 1.0]
+        report = [[0.25, 0.75]]
+        r_var = [self.TRUTH, report, self.TRUTH]
+        best_k, _, best_gain = one_profile_search(self.TRUTH, r_var, ind, valid, 1, 2, 1, 1)
+        assert best_k.tolist() == [-1, -1, -1]
+        assert best_gain.tolist() == [0.0, 0.0, 0.0]
+        valid[0, 1, 1] = True
+        best_k, best_th, best_gain = one_profile_search(self.TRUTH, r_var, ind, valid,
+                                                        1, 2, 1, 1)
+        assert (best_k[1], best_th[1], best_gain[1]) == (0, 1, 0.5)
 
 
 class TestRegret:
     def test_f1_truncation_gain(self, example1):
         mech = LiftedMechanism(MechanismKind.WDA)
-        got = metrics.regret_agent(mech, example1, AgentId(Side.FIRM, 0))
+        got = metrics.regret_gains(mech, example1)[example1.n + 0]
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_proposers_never_gain_under_da(self):
         mech = LiftedMechanism(MechanismKind.WDA)
         for profile in random_profiles(15, seed=31):
-            for w in range(profile.n):
-                got = metrics.regret_agent(mech, profile, AgentId(Side.WORKER, w))
+            for got in metrics.regret_gains(mech, profile)[:profile.n]:
                 assert got <= 1e-12
 
     def test_rsd_strategyproof(self):
@@ -127,22 +185,23 @@ class TestRegret:
 
     def test_profile_average_structure(self, example1):
         mech = LiftedMechanism(MechanismKind.WDA)
-        workers = [metrics.regret_agent(mech, example1, AgentId(Side.WORKER, w))
-                   for w in range(3)]
-        firms = [metrics.regret_agent(mech, example1, AgentId(Side.FIRM, f))
-                 for f in range(3)]
+        gains = metrics.regret_gains(mech, example1)
+        workers, firms = gains[:3], gains[3:]
+        assert gains.shape == (6,) and gains.max() > 0.0
         expected = 0.5 * (np.mean(workers) + np.mean(firms))
         assert metrics.regret_profile(mech, example1) == pytest.approx(expected, abs=1e-12)
 
 
 class Delegating:
-    """The same mechanism behind a plain wrapper, so regret_agent
-    enumerates every misreport."""
+    """The same mechanism behind a plain wrapper, so regret_gains
+    enumerates every misreport; it keeps every profile it evaluates."""
 
     def __init__(self, mech):
         self.mech = mech
+        self.seen = []
 
     def evaluate(self, profile):
+        self.seen.append(profile)
         return self.mech.evaluate(profile)
 
 
@@ -174,8 +233,8 @@ EXACT_KINDS = [MechanismKind.WDA, MechanismKind.FDA, MechanismKind.RSD]
 
 
 class TestPrefixRegret:
-    """DA and exact RSD read acceptable prefixes only, so regret_agent
-    evaluates one misreport per prefix and skips the truth's."""
+    """DA and exact RSD read acceptable prefixes only, so regret_gains
+    evaluates one misreport per prefix and reuses the truth for its own."""
 
     @pytest.mark.parametrize("kind", EXACT_KINDS)
     @pytest.mark.parametrize("cfg, count", [
@@ -191,9 +250,8 @@ class TestPrefixRegret:
         mech = LiftedMechanism(kind)
         full = Delegating(mech)
         for profile in sample_profiles(cfg, count):
-            for agent in profile.agents():
-                assert metrics.regret_agent(mech, profile, agent) == \
-                    metrics.regret_agent(full, profile, agent)
+            gains = metrics.regret_gains(mech, profile)
+            assert gains.tolist() == metrics.regret_gains(full, profile).tolist()
             assert metrics.regret_profile(mech, profile) == \
                 metrics.regret_profile(full, profile)
 
@@ -226,14 +284,31 @@ class TestPrefixRegret:
     def test_one_misreport_per_prefix(self, kind, example1):
         # 16 acceptable prefixes over 3 partners (the empty one included),
         # each evaluated once, except the truth's
-        for agent in example1.agents():
-            mech = Recording(kind)
-            metrics.regret_agent(mech, example1, agent)
+        mech = Recording(kind)
+        metrics.regret_gains(mech, example1)
+        assert mech.seen[0] == example1
+        assert len(mech.seen) == 1 + 6 * 15
+        for a, agent in enumerate(example1.agents()):
+            variants = mech.seen[1 + 15 * a:1 + 15 * (a + 1)]
+            assert all(p.with_order(agent, example1.order_of(agent)) == example1
+                       for p in variants)
             truth = example1.order_of(agent).acceptable()
-            prefixes = [p.order_of(agent).acceptable() for p in mech.seen[1:]]
-            assert mech.seen[0] == example1
+            prefixes = [p.order_of(agent).acceptable() for p in variants]
             assert len(prefixes) == len(set(prefixes)) == 15
             assert truth not in prefixes and () in prefixes
+
+    @pytest.mark.parametrize("wrap, per_agent", [
+        (Recording, 4), (lambda kind: Delegating(Recording(kind)), 6),
+    ], ids=["prefixes", "every-misreport"])
+    def test_agent_accepting_nobody_costs_no_evaluation(self, wrap, per_agent):
+        # w1 accepts nobody: its regret is 0 and none of its reports is run;
+        # each other agent runs its 5 prefixes less the truth's (4), or all
+        # 3! = 6 misreports
+        profile = parse_profile("_,f1,f2;f1,f2,_|w1,w2,_;w2,w1,_")
+        mech = wrap(MechanismKind.WDA)
+        assert metrics.regret_gains(mech, profile)[0] == 0.0
+        assert all(p.workers[0] == profile.workers[0] for p in mech.seen)
+        assert len(mech.seen) == 1 + 3 * per_agent
 
     def test_reporting_nobody_still_matched_under_rsd(self):
         # w1 truly ranks f1 > f2 and gets f1 with 2/3 (w1 or f1 acts
@@ -242,9 +317,9 @@ class TestPrefixRegret:
         # own outcome and is evaluated
         profile = parse_profile("f1,f2,_|w1,_;w1,_")
         mech = Recording(MechanismKind.RSD)
-        assert metrics.regret_agent(mech, profile, AgentId(Side.WORKER, 0)) == 0.0
+        assert metrics.regret_gains(mech, profile)[0] == 0.0
         outcomes = {p.workers[0].acceptable(): mech.evaluate(p).r[0].tolist()
-                    for p in mech.seen[1:]}
+                    for p in mech.seen[1:] if p.firms == profile.firms}
         assert sorted(outcomes) == [(), (0,), (1,), (1, 0)]
         assert outcomes[()] == [0.5, 0.5]
         assert mech.evaluate(profile).r[0].tolist() == [2 / 3, 1 / 3]

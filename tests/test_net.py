@@ -210,6 +210,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("keep", [10, 4 + 31, 4 + 32 + 10, -8, -4],
+                             ids=["header", "header-end", "mid-weights", "minus-8", "minus-4"])
+    def test_truncated_file_rejected(self, tmp_path, keep):
+        # a 2x2, R=1, J=4 file cut short, within the header, inside the
+        # first weights, or within the last bias
+        dims = NetworkDims(2, 2, R=1, J=4)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, init_params(dims, 0), dims, 0.0, 0)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(CheckpointError, match="truncated checkpoint"):
+            load_checkpoint(path)
+
     def test_failed_write_keeps_previous(self, tmp_path):
         dims = NetworkDims(2, 2, R=2, J=4)
         path = tmp_path / "net.ckpt"

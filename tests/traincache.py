@@ -10,9 +10,18 @@ directly pre-builds every run the acceptance tests need.
 retrains the named runs into a temporary directory and compares their
 checkpoint and log byte for byte with the cached ones; it exits non-zero
 on any difference and never writes to the cache.
+
+`python3 tests/traincache.py --reports OUT.json` writes every EvalReport
+field of the nine cached runs, each on its seed's desk held-out set, and
+of wda, fda and rsd on the seed-1 set (JSON numbers are float reprs, so
+they read back exactly).  `--compare A.json B.json` prints the largest
+|difference| of each row of two such files and exits 1 above 1e-12, or
+when their rows or fields differ.
 """
 import argparse
+import dataclasses
 import filecmp
+import json
 import os
 import re
 import sys
@@ -96,11 +105,72 @@ def check_runs(runs) -> int:
     return failed
 
 
+COMPARE_TOLERANCE = 1e-12
+
+
+def eval_reports() -> dict:
+    """Row name -> EvalReport fields: the nine acceptance runs on their
+    seeds' held-out sets, then the baselines on seed 1's (as `sweep`
+    builds them)."""
+    from matchfrontier import metrics, net
+    from matchfrontier.mechanisms import LiftedMechanism, MechanismKind
+    from matchfrontier.prefs import sample_profiles
+    from matchfrontier.train import HELDOUT_LANE
+
+    heldout = {}
+    for seed in sorted({seed for _, seed in ACCEPTANCE_RUNS}):
+        config = desk_config(0.0, seed)
+        heldout[seed] = sample_profiles(config.dist, config.test_size, lane=HELDOUT_LANE)
+    rows = {}
+    for lam, seed in ACCEPTANCE_RUNS:
+        params, dims, _, _ = net.load_checkpoint(ensure_checkpoint(lam, seed))
+        rows[run_name(lam, seed)] = metrics.evaluate(net.NetworkMechanism(params, dims),
+                                                     heldout[seed])
+    for label in ("wda", "fda", "rsd"):
+        rows[f"{label}_s1"] = metrics.evaluate(LiftedMechanism(MechanismKind(label)),
+                                               heldout[1])
+    return {name: dataclasses.asdict(report) for name, report in rows.items()}
+
+
+def compare_reports(path_a: str, path_b: str) -> int:
+    """Prints each row's largest |difference| over its fields; returns the
+    number of rows above COMPARE_TOLERANCE or not in both files."""
+    with open(path_a) as fh:
+        a = json.load(fh)
+    with open(path_b) as fh:
+        b = json.load(fh)
+    failed = 0
+    for name in sorted(set(a) | set(b)):
+        if a.get(name, {}).keys() != b.get(name, {}).keys():
+            print(f"{name}: missing from one file, or its fields differ")
+            failed += 1
+            continue
+        worst = max(abs(a[name][field] - b[name][field]) for field in a[name])
+        bad = worst > COMPARE_TOLERANCE
+        failed += bad
+        print(f"{name}: max |diff| {worst:.3g}" + (" ABOVE 1e-12" if bad else ""))
+    return failed
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", nargs="+", metavar="RUN",
                         help="retrain these runs and compare with the cache")
+    parser.add_argument("--reports", metavar="OUT.json",
+                        help="write the EvalReports of the cached runs and baselines")
+    parser.add_argument("--compare", nargs=2, metavar=("A.json", "B.json"),
+                        help="compare two --reports files to 1e-12")
     args = parser.parse_args(argv)
+    if args.compare:
+        failed = compare_reports(*args.compare)
+        print("within 1e-12" if not failed else f"{failed} row(s) differ")
+        return 1 if failed else 0
+    if args.reports:
+        reports = eval_reports()
+        with open(args.reports, "w") as fh:
+            json.dump(reports, fh, indent=1)
+        print(f"wrote {len(reports)} reports to {args.reports}")
+        return 0
     if args.check:
         try:
             runs = [parse_run_name(name) for name in args.check]
