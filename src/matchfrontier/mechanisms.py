@@ -5,6 +5,7 @@ Agents are addressed by side and index; in priority orders, workers are
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -13,13 +14,15 @@ from enum import Enum
 import networkx as nx
 import numpy as np
 
-from .prefs import BOTTOM, PreferenceProfile, format_profile
+from .prefs import (BOTTOM, PreferenceProfile, format_profile, per_shape,
+                    profile_ranks)
 
 MARGINAL_TOL = 1e-9
 
 # Markets of more than DEFAULT_RSD_CAP agents in all get Monte-Carlo RSD.
-# rsd_exact's memoized count would handle 5x5 too, but moving those markets
-# to exact RSD would change LiftedMechanism's outputs.
+# rsd_exact_rows' level-by-level count over (to act, unmatched) states
+# would handle 5x5 too, but moving those markets to exact RSD would change
+# LiftedMechanism's outputs.
 DEFAULT_RSD_CAP = 8
 
 
@@ -102,46 +105,89 @@ class RandomizedMatching:
         return 1.0 - self.r.sum(axis=0)
 
 
+def da_rows(ranks, proposing: Proposing = Proposing.WORKERS) -> np.ndarray:
+    """Deferred acceptance on R rows at once, from the `profile_ranks` of R
+    n x m profiles: held[r, c] is the proposer that receiver c of row r
+    holds at the end, or -1.
+
+    Each round, every proposer with an untried acceptable partner proposes
+    to the best of them (a held proposer re-proposes to its holder); each
+    receiver keeps the proposer it ranks best among those it accepts, and
+    every other proposer moves on.  DA's outcome does not depend on the
+    order of proposals (Gale & Shapley 1962), so this is the outcome of
+    proposing one at a time."""
+    rank_w, cut_w, rank_f, cut_f = ranks
+    if proposing is Proposing.WORKERS:
+        rank_p, cut_p, rank_r, cut_r = rank_w, cut_w, rank_f, cut_f
+    else:
+        rank_p, cut_p, rank_r, cut_r = rank_f, cut_f, rank_w, cut_w
+    C, P = rank_p.shape[1], rank_r.shape[1]
+    R = rank_p.shape[0] // P
+    rejected = P + 1  # a receiver's score of a proposer it does not accept
+    # choice[r*P + p, t]: proposer p's partner ranked t, or C once its
+    # acceptable partners run out; receiver C rejects everyone
+    choice = np.full((R * P, C + 1), C)
+    choice[:, :C] = np.where(np.arange(C) < cut_p, rank_p.argsort(axis=1), C)
+    # score[r, c, p]: receiver c's rank of proposer p
+    score = np.full((R, C + 1, P), rejected)
+    score[:, :C] = np.where(rank_r < cut_r, rank_r, rejected).reshape(R, C, P)
+    choice, score = choice.ravel(), score.ravel()
+    row, proposer = np.arange(R)[:, None], np.arange(P)
+    choice_at = (row * P + proposer) * (C + 1)  # + tried
+    score_at = row * (C + 1) * P + proposer     # + target * P
+    receiver_at = row * (C + 1)                 # + target
+    tried = np.zeros((R, P), dtype=np.int64)
+    while True:
+        target = choice[choice_at + tried]
+        s = score[score_at + target * P]
+        at = receiver_at + target
+        best = np.full(R * (C + 1), rejected)
+        np.minimum.at(best, at, s)
+        kept = (s == best[at]) & (s < rejected)
+        moves = (target < C) & ~kept
+        if not moves.any():
+            break
+        tried += moves
+    held = np.full((R, C + 1), -1, dtype=np.int64)
+    r, p = np.nonzero(kept)
+    held[r, target[r, p]] = p
+    return held[:, :C]
+
+
+def _da_marginals(held: np.ndarray, n: int, m: int, proposing: Proposing) -> np.ndarray:
+    """(R, n, m) 0/1 marginals of `da_rows`' output."""
+    r = np.zeros((held.shape[0], n, m))
+    rows, receiver = np.nonzero(held >= 0)
+    proposer = held[rows, receiver]
+    if proposing is Proposing.WORKERS:
+        r[rows, proposer, receiver] = 1.0
+    else:
+        r[rows, receiver, proposer] = 1.0
+    return r
+
+
+def da_many(profiles, proposing: Proposing = Proposing.WORKERS) -> list:
+    """`da` of every profile, one `da_rows` call per market shape."""
+    def batch(group, n, m):
+        out = []
+        for held in da_rows(profile_ranks(group, n, m), proposing).tolist():
+            # pairs go in receiver by receiver, as in the oracle's loop DA:
+            # the frozenset's iteration order, which `similarity` sums in,
+            # can depend on the order of insertion
+            if proposing is Proposing.WORKERS:
+                pairs = frozenset((w, f) for f, w in enumerate(held) if w >= 0)
+            else:
+                pairs = frozenset((w, f) for w, f in enumerate(held) if f >= 0)
+            out.append(DeterministicMatching(pairs, n, m))
+        return out
+    return per_shape(profiles, batch)
+
+
 def da(profile: PreferenceProfile, proposing: Proposing = Proposing.WORKERS
        ) -> DeterministicMatching:
-    """Deferred acceptance.  Proposers iterate in ascending index order each
-    round; rejection shrinks the proposer's remaining list, so termination
-    is guaranteed.  Output is stable w.r.t. the reported profile."""
-    if proposing is Proposing.WORKERS:
-        prop_orders, recv_orders = profile.workers, profile.firms
-    else:
-        prop_orders, recv_orders = profile.firms, profile.workers
-    np_, nr = len(prop_orders), len(recv_orders)
-
-    remaining = [list(o.acceptable()) for o in prop_orders]
-    # receiver -> {acceptable proposer: rank}; only the acceptable prefix counts
-    rank = [{c: i for i, c in enumerate(o.acceptable())} for o in recv_orders]
-    held = [None] * nr  # receiver -> tentatively accepted proposer
-    free = list(range(np_))
-    while True:
-        proposals = {}  # receiver -> list of proposers this round
-        for p in free:
-            if remaining[p]:
-                proposals.setdefault(remaining[p][0], []).append(p)
-        if not proposals:
-            break
-        for recv, props in sorted(proposals.items()):
-            candidates = props + ([held[recv]] if held[recv] is not None else [])
-            acceptable = [c for c in candidates if c in rank[recv]]
-            best = min(acceptable, key=rank[recv].__getitem__) if acceptable else None
-            for c in candidates:
-                if c != best:
-                    remaining[c].remove(recv)
-            held[recv] = best
-        free = [p for p in range(np_) if p not in held]
-        if not free:
-            break
-
-    if proposing is Proposing.WORKERS:
-        pairs = frozenset((w, f) for f, w in enumerate(held) if w is not None)
-    else:
-        pairs = frozenset((w, f) for w, f in enumerate(held) if f is not None)
-    return DeterministicMatching(pairs, profile.n, profile.m)
+    """Deferred acceptance: a one-row `da_rows` call.  The output is stable
+    w.r.t. the reported profile."""
+    return da_many([profile], proposing)[0]
 
 
 def _partner_lists(profile: PreferenceProfile) -> list:
@@ -149,14 +195,6 @@ def _partner_lists(profile: PreferenceProfile) -> list:
     n = profile.n
     return ([[n + f for f in o.acceptable()] for o in profile.workers]
             + [list(o.acceptable()) for o in profile.firms])
-
-
-def _pick(partners: list, free: int):
-    """The first of `partners` whose bit is set in the mask `free`, or None."""
-    for b in partners:
-        if free >> b & 1:
-            return b
-    return None
 
 
 def _serial_pass(partners: list, priority, n: int) -> list:
@@ -167,10 +205,11 @@ def _serial_pass(partners: list, priority, n: int) -> list:
     for agent in priority:
         if not free >> agent & 1:
             continue
-        b = _pick(partners[agent], free)
-        if b is not None:
-            free &= ~(1 << agent | 1 << b)
-            pairs.append((agent, b - n) if agent < n else (b, agent - n))
+        for b in partners[agent]:
+            if free >> b & 1:
+                free &= ~(1 << agent | 1 << b)
+                pairs.append((agent, b - n) if agent < n else (b, agent - n))
+                break
     return pairs
 
 
@@ -185,56 +224,102 @@ def serial_dictatorship_round(profile: PreferenceProfile, priority
     return DeterministicMatching(frozenset(pairs), n, m)
 
 
+# bits set in each agent mask of a market under the cap
+_POPCOUNT = np.array([bin(mask).count("1") for mask in range(1 << DEFAULT_RSD_CAP)])
+_FACTORIAL = np.array([math.factorial(k) for k in range(DEFAULT_RSD_CAP + 1)])
+
+
+def rsd_exact_rows(ranks) -> np.ndarray:
+    """Exact RSD marginals (R, n, m) of R rows at once, from the
+    `profile_ranks` of R n x m profiles: the share of the (n+m)! priority
+    orders under which each pair forms.
+
+    A pass depends only on the state (agents yet to act, agents
+    unmatched): the next actor is any agent yet to act, and a matched
+    agent's later turn is a no-op.  A forward pass runs level by level,
+    over the states of every row with k agents yet to act.  When agent a
+    takes the first of the k turns ((k-1)! orders) and forms (a, b), the
+    pair's count gains weight*(k-1)!; a and b both leave "to act", and the
+    successor state gains weight*(k-1)!/|todo'|!, one order of its agents
+    standing for that many orders of the k-1 agents after a.  Equal (row,
+    todo, unmatched) states are merged after each level.  Weights and
+    counts are exact int64 integers (at most 8! = 40,320), so the one
+    division by (n+m)! at the end gives the same bits as counting over
+    every order."""
+    rank_w, cut_w, rank_f, cut_f = ranks
+    m, n = rank_w.shape[1], rank_f.shape[1]
+    A = n + m
+    if A > DEFAULT_RSD_CAP:
+        raise EnumerationCapError(
+            f"exact RSD is limited to n+m <= {DEFAULT_RSD_CAP} agents (n+m={A});"
+            " use rsd_monte_carlo")
+    R = rank_w.shape[0] // n
+    # partners[r, a, t]: agent id of agent a's partner ranked t; the slots
+    # past its cut hold A, a stand-in for "nobody" that is always unmatched
+    partners = np.full((R, A, max(n, m) + 1), A, dtype=np.int64)
+    partners[:, :n, :m] = np.where(np.arange(m) < cut_w, rank_w.argsort(axis=1) + n,
+                                   A).reshape(R, n, m)
+    partners[:, n:, :n] = np.where(np.arange(n) < cut_f, rank_f.argsort(axis=1),
+                                   A).reshape(R, m, n)
+    pair, keep = _rsd_moves(n, m)
+    agents, everyone = np.arange(A), (1 << A) - 1
+    # one state per key, row << 2A+1 | todo << A+1 | 1 << A | free: bit A
+    # marks the stand-in A as unmatched
+    key = np.arange(R, dtype=np.int64) << 2 * A + 1 | everyone << A + 1 | 1 << A | everyone
+    weight = np.ones(R, dtype=np.int64)
+    counts = np.zeros((R, n * m + 1), dtype=np.int64)  # last column: no pair formed
+    for k in range(A, 0, -1):
+        todo = key >> A + 1 & everyone
+        level = _POPCOUNT[todo] == k
+        rest_key, rest_weight = key[~level], weight[~level]
+        key, todo, weight = key[level], todo[level], weight[level]
+        state, a = np.nonzero(todo[:, None] >> agents & 1)  # each agent yet to act
+        key, weight = key[state], weight[state] * _FACTORIAL[k - 1]
+        row = key >> 2 * A + 1
+        lists = partners[row, a]
+        open_ = key[:, None] >> lists & 1
+        b = lists[np.arange(len(a)), open_.argmax(axis=1)]  # A when a takes nobody
+        np.add.at(counts, (row, pair[a, b]), weight)
+        key = key & keep[a, b]
+        sub_todo = _POPCOUNT[key >> A + 1 & everyone]
+        weight //= _FACTORIAL[sub_todo]
+        live = sub_todo > 0
+        key = np.concatenate([rest_key, key[live]])
+        weight = np.concatenate([rest_weight, weight[live]])
+        if not key.size:
+            break
+        order = key.argsort()
+        key, weight = key[order], weight[order]
+        first = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        key, weight = key[starts], np.add.reduceat(weight, starts)
+    return counts[:, :-1].reshape(R, n, m) / _FACTORIAL[A]
+
+
+@functools.cache
+def _rsd_moves(n: int, m: int):
+    """Tables over (actor a, pick b), b = n+m for no pick: the column
+    w*m + f of the pair formed (n*m for none), and the mask that keeps the
+    key bits that a's move leaves in place: a leaves "to act", and a pair
+    leaves both "to act" and "unmatched"."""
+    A = n + m
+    a, b = np.arange(A)[:, None], np.arange(A + 1)
+    pair = np.where(b < A, np.minimum(a, b) * m + np.maximum(a, b) - n, n * m)
+    matched = np.where(b < A, 1 << a | 1 << b, 0)
+    keep = ~((1 << a | matched) << A + 1 | matched)
+    pair.flags.writeable = keep.flags.writeable = False  # shared by every call
+    return pair, keep
+
+
 def rsd_exact(profile: PreferenceProfile) -> RandomizedMatching:
     """Exact RSD marginals: the share of the (n+m)! priority orders under
-    which each pair forms.
-
-    A pass depends only on the state (agents yet to act, agents unmatched):
-    the next actor is any agent yet to act, and a matched agent's later turn
-    is a no-op.  `orders` counts, for each pair, how many orders of the k
-    agents yet to act form it, memoized per state within this call.  The
-    counts are exact integers, so the one division by (n+m)! at the end
-    gives the same bits as counting over every order."""
-    n, m = profile.n, profile.m
-    if n + m > DEFAULT_RSD_CAP:
-        raise EnumerationCapError(
-            f"exact RSD is limited to n+m <= {DEFAULT_RSD_CAP} agents (n+m={n + m});"
-            " use rsd_monte_carlo")
-    partners = _partner_lists(profile)
-    fact = [math.factorial(k) for k in range(n + m + 1)]
-    memo = {}
-
-    def orders(todo: int, free: int) -> list:
-        key = todo << (n + m) | free
-        counts = memo.get(key)
-        if counts is not None:
-            return counts
-        k = todo.bit_count()
-        counts = [0] * (n * m)
-        for a in range(n + m):  # a takes the first turn in (k-1)! orders
-            if not todo >> a & 1:
-                continue
-            b = _pick(partners[a], free)
-            if b is None:
-                sub_todo, sub_free = todo & ~(1 << a), free
-            else:
-                gone = ~(1 << a | 1 << b)
-                sub_todo, sub_free = todo & gone, free & gone
-                w, f = (a, b - n) if a < n else (b, a - n)
-                counts[w * m + f] += fact[k - 1]
-            if sub_todo:
-                # each order of sub_todo stands for this many orders of the
-                # k-1 agents after a: b's turn, if still to come, is a no-op
-                scale = fact[k - 1] // fact[sub_todo.bit_count()]
-                for i, c in enumerate(orders(sub_todo, sub_free)):
-                    if c:
-                        counts[i] += scale * c
-        memo[key] = counts
-        return counts
-
-    everyone = (1 << (n + m)) - 1
-    counts = np.array(orders(everyone, everyone), dtype=np.float64)
-    return RandomizedMatching(counts.reshape(n, m) / fact[n + m])
+    which each pair forms.  A one-row `rsd_exact_rows` call: it counts the
+    orders level by level over the states (agents yet to act, agents
+    unmatched) in int64 and divides once by (n+m)!, so the result is
+    bitwise equal to enumerating every order."""
+    return RandomizedMatching(
+        rsd_exact_rows(profile_ranks([profile], profile.n, profile.m))[0])
 
 
 def rsd_monte_carlo(profile: PreferenceProfile, samples: int,
@@ -363,11 +448,10 @@ class LiftedMechanism:
     def reads_prefixes_only(self, profile: PreferenceProfile) -> bool:
         """Whether `evaluate`'s outcome on this market depends on each
         order's acceptable prefix alone, so that two reports with the same
-        prefix give bitwise-equal marginals.  True for DA, which reads
-        `acceptable()` and ranks among acceptable partners, and for exact
-        RSD, which reads `_partner_lists`.  False for Monte-Carlo RSD: its
-        sampler is seeded from `format_profile`, which also spells out the
-        order of unacceptable partners."""
+        prefix give bitwise-equal marginals.  True for DA and exact RSD,
+        whose kernels read each order's partners up to its cut.  False for
+        Monte-Carlo RSD: its sampler is seeded from `format_profile`, which
+        also spells out the order of unacceptable partners."""
         return self.kind is not MechanismKind.RSD or profile.n + profile.m <= DEFAULT_RSD_CAP
 
     def evaluate(self, profile: PreferenceProfile) -> RandomizedMatching:
@@ -382,6 +466,22 @@ class LiftedMechanism:
         key = [int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:16], "little")]
         rng = np.random.Generator(np.random.Philox(key=key))
         return rsd_monte_carlo(profile, self.mc_samples, rng)
+
+    def evaluate_many(self, profiles) -> list:
+        """`evaluate` of every profile: DA and exact RSD as one kernel call
+        per market shape, Monte-Carlo RSD one profile at a time."""
+        def batch(group, n, m):
+            if not self.reads_prefixes_only(group[0]):
+                return [self.evaluate(profile) for profile in group]
+            ranks = profile_ranks(group, n, m)
+            if self.kind is MechanismKind.RSD:
+                r = rsd_exact_rows(ranks)
+            else:
+                proposing = Proposing.WORKERS if self.kind is MechanismKind.WDA \
+                    else Proposing.FIRMS
+                r = _da_marginals(da_rows(ranks, proposing), n, m, proposing)
+            return [RandomizedMatching(x) for x in r]
+        return per_shape(profiles, batch)
 
 
 # ---------------------------------------------------------------------------

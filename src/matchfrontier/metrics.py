@@ -3,14 +3,15 @@ stability violation, IR violation, FOSD regret, welfare, similarity to
 deferred acceptance, and normalized entropy."""
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .prefs import (EncodedProfile, PreferenceProfile, Side, encode_many,
-                    enumerate_misreports, rank_arrays)
-from .mechanisms import LiftedMechanism, Proposing, RandomizedMatching, da
+                    enumerate_misreports, profile_ranks)
+from .mechanisms import LiftedMechanism, Proposing, RandomizedMatching, da, da_many
 from .net import NetworkMechanism
 
 
@@ -64,21 +65,27 @@ def stv_profile(r: RandomizedMatching, enc: EncodedProfile) -> float:
     return float(stv_batch(r.r[None], enc.p[None], enc.q[None])[0])
 
 
+def irv_batch(r: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per-profile individual-rationality violation: probability mass on
+    unacceptable partners, weighted by how deep below the unmatched option
+    they sit, for marginals r and encodings p, q, all (B, n, m)."""
+    n, m = p.shape[1:]
+    return ((r * np.maximum(-q, 0.0)).sum(axis=(1, 2)) / (2 * m)
+            + (r * np.maximum(-p, 0.0)).sum(axis=(1, 2)) / (2 * n))
+
+
 def irv_profile(r: RandomizedMatching, enc: EncodedProfile) -> float:
-    """Individual-rationality violation: probability mass on unacceptable
-    partners, weighted by how deep below the unmatched option they sit."""
+    """Individual-rationality violation of one profile."""
     _check_dims(r, enc)
-    n, m = enc.p.shape
-    return float((r.r * np.maximum(-enc.q, 0.0)).sum() / (2 * m)
-                 + (r.r * np.maximum(-enc.p, 0.0)).sum() / (2 * n))
+    return float(irv_batch(r.r[None], enc.p[None], enc.q[None])[0])
 
 
 def threshold_sets(rank_w, cut_w, rank_f, cut_f, n: int, m: int):
     """Prefix-set indicators ind (B, n+m, TH, n, m) and their validity
     (B, n+m, TH), TH = max(n, m), agents workers first, from the
-    `rank_arrays` of B profiles' worker orders and firm orders.  Slot t
-    of an agent is valid below its cut: its threshold is the partner
-    ranked t, and its prefix set every partner ranked at or above t."""
+    `profile_ranks` of B profiles.  Slot t of an agent is valid below its
+    cut: its threshold is the partner ranked t, and its prefix set every
+    partner ranked at or above t."""
     B, A, TH = rank_w.shape[0] // n, n + m, max(n, m)
     rank_w, cut_w = rank_w.reshape(B, n, m), cut_w.reshape(B, n, 1)
     rank_f, cut_f = rank_f.reshape(B, m, n), cut_f.reshape(B, m, 1)
@@ -132,14 +139,15 @@ def fosd_search(r_truth, r_var, ind, valid, n: int, m: int, Kw: int, Kf: int):
     return best_k, best_th, best_gain
 
 
-def _prefix_misreports(side: Side, size: int) -> list:
+@functools.cache
+def _prefix_misreports(side: Side, size: int) -> tuple:
     """The first misreport of each acceptable prefix, in enumeration order.
     The empty prefix is one of them: under RSD another picker can still
     take an agent who accepts nobody."""
     first = {}
     for order in enumerate_misreports(side, size):
         first.setdefault(order.acceptable(), order)
-    return list(first.values())
+    return tuple(first.values())
 
 
 def regret_gains(mech, profile: PreferenceProfile,
@@ -151,23 +159,29 @@ def regret_gains(mech, profile: PreferenceProfile,
     table holds one misreport per acceptable prefix (the empty one
     included); every other mechanism gets all (size+1)! misreports.  The
     truth's own prefix slot and every slot of an agent with no acceptable
-    partner reuse `r_truth`; every other slot is one `mech.evaluate`."""
+    partner reuse `r_truth`.  The other slots' profiles go to the lifted
+    mechanism's `evaluate_many` in one call, or one `mech.evaluate` each
+    for every other mechanism."""
     n, m = profile.n, profile.m
     if r_truth is None:
         r_truth = mech.evaluate(profile)
     prefixes = isinstance(mech, LiftedMechanism) and mech.reads_prefixes_only(profile)
     table = _prefix_misreports if prefixes else enumerate_misreports
     tables = {Side.WORKER: table(Side.WORKER, m), Side.FIRM: table(Side.FIRM, n)}
-    r_var = []
+    slots, variants = [], []  # per slot: index into variants, or -1 for r_truth
     for agent in profile.agents():
         truth = profile.order_of(agent).acceptable()
         for report in tables[agent.side]:
-            reuse = not truth or (prefixes and report.acceptable() == truth)
-            r_var.append(r_truth.r if reuse
-                         else mech.evaluate(profile.with_order(agent, report)).r)
-    ind, valid = threshold_sets(*rank_arrays(profile.workers, m),
-                                *rank_arrays(profile.firms, n), n, m)
-    _, _, gains = fosd_search(r_truth.r[None], np.array(r_var)[None], ind, valid,
+            if not truth or (prefixes and report.acceptable() == truth):
+                slots.append(-1)
+            else:
+                slots.append(len(variants))
+                variants.append(profile.with_order(agent, report))
+    outcomes = mech.evaluate_many(variants) if prefixes \
+        else [mech.evaluate(variant) for variant in variants]
+    r_var = np.array([r_truth.r if i < 0 else outcomes[i].r for i in slots])
+    ind, valid = threshold_sets(*profile_ranks([profile], n, m), n, m)
+    _, _, gains = fosd_search(r_truth.r[None], r_var[None], ind, valid,
                               n, m, len(tables[Side.WORKER]), len(tables[Side.FIRM]))
     return gains[0]
 
@@ -188,13 +202,17 @@ def welfare_profile(r: RandomizedMatching, enc: EncodedProfile) -> float:
     return float((r.r * (enc.p + enc.q)).sum() / (n + m))
 
 
-def similarity(r: RandomizedMatching, profile: PreferenceProfile) -> float:
+def similarity(r: RandomizedMatching, profile: PreferenceProfile,
+               matchings=None) -> float:
     """Agreement with deferred acceptance: mass placed on a DA matching's
     pairs divided by that matching's size, best of the two proposing sides.
-    Sides with empty DA matchings are skipped; 1 if both are empty."""
+    Sides with empty DA matchings are skipped; 1 if both are empty.
+    `matchings` are the profile's worker- and firm-proposing DA matchings,
+    computed here when not given."""
+    if matchings is None:
+        matchings = [da(profile, proposing) for proposing in Proposing]
     scores = []
-    for proposing in (Proposing.WORKERS, Proposing.FIRMS):
-        matching = da(profile, proposing)
+    for matching in matchings:
         if matching.pairs:
             mass = sum(r.r[w, f] for w, f in matching.pairs)
             scores.append(mass / len(matching.pairs))
@@ -222,7 +240,8 @@ def entropy(r: RandomizedMatching) -> float:
 def evaluate(mech, profiles) -> EvalReport:
     """Arithmetic means of all per-profile metrics over a profile set.
     Each profile's truthful outcome is evaluated once and shared by every
-    metric; regret comes from `regret_profile`.  For a network, stability
+    metric; regret comes from `regret_profile`, and similarity reads DA
+    matchings computed for all profiles at once.  For a network, stability
     violation and regret come from the batched training search.  It runs
     the same `fosd_search`, but its tables drop the reports that accept
     nobody: the network's mask gives those all-zero marginals, which never
@@ -235,15 +254,17 @@ def evaluate(mech, profiles) -> EvalReport:
         stv, rgt, marginals = evaluate_network(mech.params, mech.dims, profiles,
                                                misreport_tables(mech.dims))
         stv, rgt = stv.tolist(), rgt.tolist()
+    matchings = zip(*(da_many(profiles, proposing) for proposing in Proposing))
     stv_sum = rgt_sum = irv_sum = wel_sum = sim_sum = ent_sum = 0.0
-    for idx, (profile, enc) in enumerate(zip(profiles, encode_many(profiles))):
+    for idx, (profile, enc, da_pair) in enumerate(zip(profiles, encode_many(profiles),
+                                                      matchings)):
         try:
             r = mech.evaluate(profile) if marginals is None \
                 else RandomizedMatching(marginals[idx])
             stv_sum += stv_profile(r, enc) if stv is None else stv[idx]
             irv_sum += irv_profile(r, enc)
             wel_sum += welfare_profile(r, enc)
-            sim_sum += similarity(r, profile)
+            sim_sum += similarity(r, profile, da_pair)
             ent_sum += entropy(r)
             rgt_sum += regret_profile(mech, profile, r) if rgt is None else rgt[idx]
         except Exception as err:

@@ -1,5 +1,6 @@
 """Brute-force ground truth: matching enumeration, blocking pairs, stable
-sets, RSD by enumerating priority orders, and black-box FOSD auditing.
+sets, deferred acceptance one proposal round at a time, RSD by enumerating
+priority orders, and black-box FOSD auditing.
 
 Everything here is written in deliberately plain nested-loop style and
 shares no arithmetic with the metrics module, so the two can check each
@@ -16,7 +17,7 @@ import numpy as np
 
 from .prefs import (BOTTOM, AgentId, PreferenceProfile, Side,
                     enumerate_misreports)
-from .mechanisms import DeterministicMatching, RandomizedMatching
+from .mechanisms import DeterministicMatching, Proposing, RandomizedMatching
 
 MAX_ENUM_SIDE = 5
 
@@ -75,6 +76,49 @@ def exhaustive_stable_set(profile: PreferenceProfile) -> list:
     """All stable, individually rational matchings."""
     return [mu for mu in enumerate_matchings(profile.n, profile.m)
             if not find_blocking_pairs(mu, profile)]
+
+
+def da_by_rounds(profile: PreferenceProfile, proposing: Proposing = Proposing.WORKERS
+                 ) -> DeterministicMatching:
+    """Deferred acceptance with Python lists.  Each round the free
+    proposers, in ascending index order, propose to the first partner left
+    on their lists; each receiver keeps the best acceptable candidate and
+    strikes itself from every other candidate's list."""
+    if proposing is Proposing.WORKERS:
+        prop_orders, recv_orders = profile.workers, profile.firms
+    else:
+        prop_orders, recv_orders = profile.firms, profile.workers
+    np_, nr = len(prop_orders), len(recv_orders)
+
+    remaining = [list(o.acceptable()) for o in prop_orders]
+    # receiver -> {acceptable proposer: rank}; only the acceptable prefix counts
+    rank = [{c: i for i, c in enumerate(o.acceptable())} for o in recv_orders]
+    held = [None] * nr  # receiver -> tentatively accepted proposer
+    free = list(range(np_))
+    while True:
+        proposals = {}  # receiver -> list of proposers this round
+        for p in free:
+            if remaining[p]:
+                proposals.setdefault(remaining[p][0], []).append(p)
+        if not proposals:
+            break
+        for recv, props in sorted(proposals.items()):
+            candidates = props + ([held[recv]] if held[recv] is not None else [])
+            acceptable = [c for c in candidates if c in rank[recv]]
+            best = min(acceptable, key=rank[recv].__getitem__) if acceptable else None
+            for c in candidates:
+                if c != best:
+                    remaining[c].remove(recv)
+            held[recv] = best
+        free = [p for p in range(np_) if p not in held]
+        if not free:
+            break
+
+    if proposing is Proposing.WORKERS:
+        pairs = frozenset((w, f) for f, w in enumerate(held) if w is not None)
+    else:
+        pairs = frozenset((w, f) for w, f in enumerate(held) if f is not None)
+    return DeterministicMatching(pairs, profile.n, profile.m)
 
 
 def rsd_by_enumeration(profile: PreferenceProfile) -> RandomizedMatching:

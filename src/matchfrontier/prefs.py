@@ -165,13 +165,34 @@ def encode_ranks(rank, cut, size: int) -> np.ndarray:
     return (cut - rank) / size
 
 
-def encode_arrays(profiles, n: int, m: int):
-    """Encodings P and Q, both (B, n, m), of n x m profiles, and the rank
-    arrays of the workers' orders, (B*n, m) and (B*n, 1), and of the firms'
-    orders, (B*m, n) and (B*m, 1), they come from."""
-    B = len(profiles)
+def profile_ranks(profiles, n: int, m: int):
+    """The rank arrays of n x m profiles: of the workers' orders, (B*n, m)
+    and (B*n, 1), then of the firms' orders, (B*m, n) and (B*m, 1)."""
     rank_w, cut_w = rank_arrays([o for p in profiles for o in p.workers], m)
     rank_f, cut_f = rank_arrays([o for p in profiles for o in p.firms], n)
+    return rank_w, cut_w, rank_f, cut_f
+
+
+def per_shape(profiles, batch) -> list:
+    """One result per profile, in order, from `batch(group, n, m)`, which
+    maps the profiles of one n x m market shape to their results."""
+    shapes = [(len(p.workers), len(p.firms)) for p in profiles]
+    distinct = set(shapes)
+    if len(distinct) == 1:
+        return batch(profiles, *shapes[0])
+    out = [None] * len(profiles)
+    for shape in sorted(distinct):
+        group = [i for i, s in enumerate(shapes) if s == shape]
+        for i, result in zip(group, batch([profiles[i] for i in group], *shape)):
+            out[i] = result
+    return out
+
+
+def encode_arrays(profiles, n: int, m: int):
+    """Encodings P and Q, both (B, n, m), of n x m profiles, and the
+    `profile_ranks` they come from."""
+    B = len(profiles)
+    rank_w, cut_w, rank_f, cut_f = profile_ranks(profiles, n, m)
     P = encode_ranks(rank_w, cut_w, m).reshape(B, n, m)
     Q = encode_ranks(rank_f, cut_f, n).reshape(B, m, n).transpose(0, 2, 1)
     return P, np.ascontiguousarray(Q), (rank_w, cut_w, rank_f, cut_f)
@@ -189,12 +210,10 @@ def encode(profile: PreferenceProfile) -> EncodedProfile:
 
 def encode_many(profiles) -> list:
     """encode() of every profile, one vectorized pass per market shape."""
-    out = {}
-    for shape in {(p.n, p.m) for p in profiles}:
-        group = [i for i, p in enumerate(profiles) if (p.n, p.m) == shape]
-        P, Q, _ = encode_arrays([profiles[i] for i in group], *shape)
-        out.update((i, EncodedProfile(p=P[j], q=Q[j])) for j, i in enumerate(group))
-    return [out[i] for i in range(len(profiles))]
+    def batch(group, n, m):
+        P, Q, _ = encode_arrays(group, n, m)
+        return [EncodedProfile(p=p, q=q) for p, q in zip(P, Q)]
+    return per_shape(profiles, batch)
 
 
 def enumerate_misreports(side: Side, size: int) -> list:

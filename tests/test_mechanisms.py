@@ -10,13 +10,13 @@ from matchfrontier.mechanisms import (DEFAULT_RSD_CAP, DeterministicMatching,
                                       InvalidMatchingError, LiftedMechanism,
                                       MechanismKind,
                                       Proposing, RandomizedMatching,
-                                      bvn_decompose, da, format_matching,
-                                      parse_matching,
+                                      bvn_decompose, da, da_many,
+                                      format_matching, parse_matching,
                                       rsd_exact, rsd_monte_carlo,
                                       serial_dictatorship_round)
 from matchfrontier.prefs import (BOTTOM, DistributionConfig, DistributionKind,
-                                 PreferenceOrder, parse_profile,
-                                 sample_profiles)
+                                 PreferenceOrder, PreferenceProfile, Side,
+                                 parse_profile, profile_ranks, sample_profiles)
 
 
 def random_profiles(count, n=3, m=3, p_trunc=0.3, seed=0):
@@ -79,6 +79,64 @@ class TestDeferredAcceptance:
         profile = parse_profile("f1,f2,f3,_;f2,_,f1,f3|w1,w2,_;w2,w1,_;_,w1,w2")
         mu = da(profile, Proposing.WORKERS)
         assert oracle.find_blocking_pairs(mu, profile) == []
+
+
+def mixed_rows(n, m, seed, draws=12):
+    """A batch of mixed rows: profiles drawn at three truncation rates, then
+    variants of the first of them in which one agent, every worker or
+    every firm accepts nobody."""
+    profiles = []
+    for i, p_trunc in enumerate((0.0, 0.4, 0.9)):
+        profiles += random_profiles(draws, n=n, m=m, p_trunc=p_trunc, seed=seed + i)
+    base = profiles[0]
+    nobody = {Side.WORKER: PreferenceOrder((BOTTOM,) + tuple(range(m))),
+              Side.FIRM: PreferenceOrder((BOTTOM,) + tuple(range(n)))}
+    profiles += [base.with_order(agent, nobody[agent.side]) for agent in base.agents()]
+    profiles.append(PreferenceProfile((nobody[Side.WORKER],) * n, base.firms))
+    profiles.append(PreferenceProfile(base.workers, (nobody[Side.FIRM],) * m))
+    return profiles
+
+
+def loop_held(profile, proposing):
+    """held[c] of the oracle's loop DA: receiver c's partner, or -1."""
+    mu = oracle.da_by_rounds(profile, proposing)
+    if proposing is Proposing.WORKERS:
+        return [mu.firm_partner(f) for f in range(profile.m)]
+    return [mu.worker_partner(w) for w in range(profile.n)]
+
+
+SHAPES = [(3, 3), (2, 3), (3, 2), (1, 3), (2, 5), (4, 4)]
+
+
+class TestBatchedKernels:
+    @pytest.mark.parametrize("n, m", SHAPES)
+    @pytest.mark.parametrize("proposing", list(Proposing))
+    def test_da_rows_equal_loop_da(self, n, m, proposing):
+        profiles = mixed_rows(n, m, seed=80)
+        held = mechanisms.da_rows(profile_ranks(profiles, n, m), proposing)
+        assert np.array_equal(held, [loop_held(p, proposing) for p in profiles])
+        # the one-row API and the per-shape batch give the loop's matchings
+        for p, mu in zip(profiles, da_many(profiles, proposing)):
+            assert mu == da(p, proposing) == oracle.da_by_rounds(p, proposing)
+
+    @pytest.mark.parametrize("n, m", SHAPES)
+    def test_rsd_rows_bitwise_equal_enumeration(self, n, m):
+        # 8! orders per row for 4x4, so fewer draws there
+        profiles = mixed_rows(n, m, seed=90, draws=1 if n + m == 8 else 12)
+        r = mechanisms.rsd_exact_rows(profile_ranks(profiles, n, m))
+        assert np.array_equal(r, [oracle.rsd_by_enumeration(p).r for p in profiles])
+
+    def test_rsd_rows_cap(self):
+        with pytest.raises(EnumerationCapError):
+            mechanisms.rsd_exact_rows(profile_ranks(random_profiles(2, n=4, m=5), 4, 5))
+
+    @pytest.mark.parametrize("kind", list(MechanismKind))
+    def test_evaluate_many_equals_evaluate(self, kind):
+        mech = LiftedMechanism(kind, mc_samples=100)
+        profiles = random_profiles(5, n=3, m=2, seed=91) + random_profiles(5, seed=92) \
+            + random_profiles(2, n=4, m=5, seed=93)  # over the cap: Monte-Carlo RSD
+        for r, profile in zip(mech.evaluate_many(profiles), profiles):
+            assert np.array_equal(r.r, mech.evaluate(profile).r)
 
 
 class TestSerialDictatorship:
@@ -146,16 +204,18 @@ class TestRsd:
             assert np.array_equal(rsd_exact(p).r, rsd_exact(p).r)
 
     def test_lifted_evaluate_calls_exact_once(self, example1, monkeypatch):
-        calls = []
-        inner = mechanisms.rsd_exact
+        # one row handed to the exact kernel, which is what rsd_exact runs
+        rows = []
+        inner = mechanisms.rsd_exact_rows
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return inner(*args, **kwargs)
+        def counted(ranks):
+            rows.append(ranks[1].shape[0] // example1.n)
+            return inner(ranks)
 
-        monkeypatch.setattr(mechanisms, "rsd_exact", counted)
-        LiftedMechanism(MechanismKind.RSD).evaluate(example1)
-        assert len(calls) == 1
+        monkeypatch.setattr(mechanisms, "rsd_exact_rows", counted)
+        r = LiftedMechanism(MechanismKind.RSD).evaluate(example1)
+        assert rows == [1]
+        assert np.array_equal(r.r, oracle.rsd_by_enumeration(example1).r)
 
     def test_monte_carlo_converges(self, example1, rsd_expected):
         rng = np.random.Generator(np.random.Philox(key=[1, 2]))

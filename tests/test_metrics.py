@@ -206,7 +206,8 @@ class Delegating:
 
 
 class Recording(LiftedMechanism):
-    """A lifted mechanism that keeps every profile it evaluates."""
+    """A lifted mechanism that keeps every profile it evaluates, one at a
+    time or as a row of a batched kernel call."""
 
     def __init__(self, kind):
         super().__init__(kind)
@@ -216,16 +217,27 @@ class Recording(LiftedMechanism):
         self.seen.append(profile)
         return super().evaluate(profile)
 
+    def evaluate_many(self, profiles):
+        self.seen.extend(profiles)
+        return super().evaluate_many(profiles)
+
 
 def count_evaluations(monkeypatch, cls):
+    """The number of profiles in each call of a mechanism class's
+    `evaluate` (1) or `evaluate_many` (its rows), in call order."""
     calls = []
-    inner = cls.evaluate
+    inner, inner_many = cls.evaluate, cls.evaluate_many
 
-    def counted(self, *args):
-        calls.append(args)
-        return inner(self, *args)
+    def counted(self, profile):
+        calls.append(1)
+        return inner(self, profile)
+
+    def counted_many(self, profiles):
+        calls.append(len(profiles))
+        return inner_many(self, profiles)
 
     monkeypatch.setattr(cls, "evaluate", counted)
+    monkeypatch.setattr(cls, "evaluate_many", counted_many)
     return calls
 
 
@@ -283,7 +295,7 @@ class TestPrefixRegret:
     @pytest.mark.parametrize("kind", EXACT_KINDS)
     def test_one_misreport_per_prefix(self, kind, example1):
         # 16 acceptable prefixes over 3 partners (the empty one included),
-        # each evaluated once, except the truth's
+        # each a row of the batched call, except the truth's
         mech = Recording(kind)
         metrics.regret_gains(mech, example1)
         assert mech.seen[0] == example1
@@ -326,25 +338,27 @@ class TestPrefixRegret:
 
     @pytest.mark.parametrize("kind", EXACT_KINDS)
     def test_evaluate_calls_per_profile(self, kind, example1, monkeypatch):
-        # one truth, then 15 misreports for each of the 6 agents
+        # one truth, then 15 misreports for each of the 6 agents, all in
+        # one batched call
         calls = count_evaluations(monkeypatch, LiftedMechanism)
         metrics.evaluate(LiftedMechanism(kind), [example1])
-        assert len(calls) == 1 + 6 * 15
+        assert calls == [1, 6 * 15]
 
     def test_monte_carlo_rsd_enumerates_every_misreport(self, monkeypatch):
         profile = sample_profiles(DistributionConfig(
             DistributionKind.UNCORRELATED, 4, 5, p_trunc=0.0, seed=70), 1)[0]
         calls = count_evaluations(monkeypatch, LiftedMechanism)
         metrics.evaluate(LiftedMechanism(MechanismKind.RSD, mc_samples=2), [profile])
-        # workers rank 5 firms (720 orders), firms rank 4 workers (120)
-        assert len(calls) == 1 + 4 * 720 + 5 * 120
+        # workers rank 5 firms (720 orders), firms rank 4 workers (120),
+        # each evaluated on its own
+        assert calls == [1] * (1 + 4 * 720 + 5 * 120)
 
     def test_network_enumerates_every_misreport(self, example1, monkeypatch):
         dims = NetworkDims(3, 3, R=2, J=8)
         mech = NetworkMechanism(init_params(dims, seed=3), dims)
         calls = count_evaluations(monkeypatch, NetworkMechanism)
         metrics.regret_profile(mech, example1)
-        assert len(calls) == 1 + 6 * 24
+        assert calls == [1] * (1 + 6 * 24)
 
 
 class TestWelfare:

@@ -516,3 +516,23 @@ class TestDeskConfig:
         assert sweep_config(0.5, seed).dist.seed == 99
         for lam in DESK_LAMBDAS:
             assert traincache.desk_config(lam, seed, "run.ckpt", "run.log") == expected[lam]
+
+
+class TestTrainCache:
+    def test_missing_checkpoint_is_announced(self, tmp_path, monkeypatch, capsys):
+        trained = []
+
+        def fake_train_run(lam, seed, path):
+            trained.append((lam, seed, path))
+            with open(path, "wb") as fh:
+                fh.write(b"ckpt")
+
+        monkeypatch.setattr(traincache, "ARTIFACT_DIR", str(tmp_path / "artifacts"))
+        monkeypatch.setattr(traincache, "train_run", fake_train_run)
+        path = traincache.ensure_checkpoint(0.5, 1)
+        assert trained == [(0.5, 1, path)]
+        err = capsys.readouterr().err
+        assert "training desk_s1_l0.5" in err and f"no checkpoint at {path}" in err
+        # a cached checkpoint is reused without a word
+        assert traincache.ensure_checkpoint(0.5, 1) == path
+        assert len(trained) == 1 and capsys.readouterr().err == ""

@@ -1,10 +1,17 @@
 """Shared cache of desk-scale training runs for the acceptance suite.
 
 Checkpoints live in tests/artifacts and are keyed by (lambda, seed); a
-missing checkpoint is trained on demand.  Each run is trained with the
-settings `sweep --preset desk --seed <seed>` resolves at that lambda; the
-MATCH_SEED environment variable does not affect them.  Running this module
-directly pre-builds every run the acceptance tests need.
+missing checkpoint is trained on demand (a few minutes per run), with a
+line on stderr naming the run and the missing file.  Each run is trained
+with the settings `sweep --preset desk --seed <seed>` resolves at that
+lambda; the MATCH_SEED environment variable does not affect them.  Running
+this module directly pre-builds every run the acceptance tests need.
+
+The `.ckpt` files are not tracked by git (only their `.ckpt.log` files
+are), so a fresh checkout, such as a copy of a parent commit for a
+parent-vs-change comparison, has none: copy `tests/artifacts/*.ckpt` into
+it first, or every command below that reads the cache trains all nine
+runs before it starts.
 
 `python3 tests/traincache.py --check desk_s1_l0 desk_s1_l0.5` instead
 retrains the named runs into a temporary directory and compares their
@@ -39,8 +46,8 @@ def run_name(lam: float, seed: int) -> str:
     return f"desk_s{seed}_l{lam:g}"
 
 
-def checkpoint_path(lam: float, seed: int, directory: str = ARTIFACT_DIR) -> str:
-    return os.path.join(directory, run_name(lam, seed) + ".ckpt")
+def checkpoint_path(lam: float, seed: int, directory: str = "") -> str:
+    return os.path.join(directory or ARTIFACT_DIR, run_name(lam, seed) + ".ckpt")
 
 
 def desk_config(lam: float, seed: int, checkpoint: str = "", log: str = ""):
@@ -66,6 +73,8 @@ def ensure_checkpoint(lam: float, seed: int) -> str:
     path = checkpoint_path(lam, seed)
     if os.path.exists(path):
         return path
+    print(f"traincache: training {run_name(lam, seed)}: no checkpoint at {path}",
+          file=sys.stderr, flush=True)
     os.makedirs(ARTIFACT_DIR, exist_ok=True)
     train_run(lam, seed, path)
     return path
