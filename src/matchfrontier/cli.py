@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
 import sys
@@ -114,6 +115,8 @@ def resolve_settings(args) -> dict:
         settings["iterations"] = args.iterations
     if "MATCH_SEED" in os.environ:
         settings["seed"] = int(os.environ["MATCH_SEED"])
+    if not 0 <= settings["seed"] < 2 ** 64:  # streams and checkpoints hold a u64
+        raise ConfigError(f"seed must lie in [0, 2**64), got {settings['seed']}")
     return settings
 
 
@@ -407,6 +410,7 @@ def write_frontier_svg(path, rows) -> None:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache  # one parser per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="matchfrontier",
                                      description=__doc__.splitlines()[0])

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import networkx as nx
 import numpy as np
 
 from .prefs import (BOTTOM, PreferenceProfile, format_profile, per_shape,
@@ -97,13 +96,6 @@ class RandomizedMatching:
     def m(self) -> int:
         return self.r.shape[1]
 
-    def unmatched_workers(self) -> np.ndarray:
-        """Derived margins g_{w,bottom} = 1 - row sums."""
-        return 1.0 - self.r.sum(axis=1)
-
-    def unmatched_firms(self) -> np.ndarray:
-        return 1.0 - self.r.sum(axis=0)
-
 
 def da_rows(ranks, proposing: Proposing = Proposing.WORKERS) -> np.ndarray:
     """Deferred acceptance on R rows at once, from the `profile_ranks` of R
@@ -154,8 +146,10 @@ def da_rows(ranks, proposing: Proposing = Proposing.WORKERS) -> np.ndarray:
     return held[:, :C]
 
 
-def _da_marginals(held: np.ndarray, n: int, m: int, proposing: Proposing) -> np.ndarray:
-    """(R, n, m) 0/1 marginals of `da_rows`' output."""
+def da_marginals(ranks, proposing: Proposing = Proposing.WORKERS) -> np.ndarray:
+    """(R, n, m) 0/1 marginals of `da_rows` on R rows."""
+    held = da_rows(ranks, proposing)
+    n, m = ranks[2].shape[1], ranks[0].shape[1]
     r = np.zeros((held.shape[0], n, m))
     rows, receiver = np.nonzero(held >= 0)
     proposer = held[rows, receiver]
@@ -166,28 +160,13 @@ def _da_marginals(held: np.ndarray, n: int, m: int, proposing: Proposing) -> np.
     return r
 
 
-def da_many(profiles, proposing: Proposing = Proposing.WORKERS) -> list:
-    """`da` of every profile, one `da_rows` call per market shape."""
-    def batch(group, n, m):
-        out = []
-        for held in da_rows(profile_ranks(group, n, m), proposing).tolist():
-            # pairs go in receiver by receiver, as in the oracle's loop DA:
-            # the frozenset's iteration order, which `similarity` sums in,
-            # can depend on the order of insertion
-            if proposing is Proposing.WORKERS:
-                pairs = frozenset((w, f) for f, w in enumerate(held) if w >= 0)
-            else:
-                pairs = frozenset((w, f) for w, f in enumerate(held) if f >= 0)
-            out.append(DeterministicMatching(pairs, n, m))
-        return out
-    return per_shape(profiles, batch)
-
-
 def da(profile: PreferenceProfile, proposing: Proposing = Proposing.WORKERS
        ) -> DeterministicMatching:
     """Deferred acceptance: a one-row `da_rows` call.  The output is stable
     w.r.t. the reported profile."""
-    return da_many([profile], proposing)[0]
+    n, m = profile.n, profile.m
+    r = da_marginals(profile_ranks([profile], n, m), proposing)[0]
+    return DeterministicMatching(frozenset(map(tuple, np.argwhere(r).tolist())), n, m)
 
 
 def _partner_lists(profile: PreferenceProfile) -> list:
@@ -360,11 +339,13 @@ def bvn_decompose(rm: RandomizedMatching) -> BvnDecomposition:
     agents on the positive support.  The residual after all pairs are
     exhausted becomes one empty-matching component.
     """
+    import networkx as nx  # slow to import; only decompositions need it
+
     rm.validate()
     n, m = rm.n, rm.m
     r = np.clip(rm.r.copy(), 0.0, 1.0)
-    gw = np.clip(rm.unmatched_workers(), 0.0, 1.0)
-    gf = np.clip(rm.unmatched_firms(), 0.0, 1.0)
+    gw = np.clip(1.0 - rm.r.sum(axis=1), 0.0, 1.0)  # unmatched margins
+    gf = np.clip(1.0 - rm.r.sum(axis=0), 0.0, 1.0)
 
     support_tol = 1e-12
     components = []
@@ -479,7 +460,7 @@ class LiftedMechanism:
             else:
                 proposing = Proposing.WORKERS if self.kind is MechanismKind.WDA \
                     else Proposing.FIRMS
-                r = _da_marginals(da_rows(ranks, proposing), n, m, proposing)
+                r = da_marginals(ranks, proposing)
             return [RandomizedMatching(x) for x in r]
         return per_shape(profiles, batch)
 

@@ -4,15 +4,21 @@ deferred acceptance, and normalized entropy."""
 from __future__ import annotations
 
 import functools
+import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .prefs import (EncodedProfile, PreferenceProfile, Side, encode_many,
-                    enumerate_misreports, profile_ranks)
-from .mechanisms import LiftedMechanism, Proposing, RandomizedMatching, da, da_many
-from .net import NetworkMechanism
+from .prefs import (EncodedProfile, PreferenceProfile, Side, encode_arrays,
+                    enumerate_misreports)
+from .mechanisms import Proposing, RandomizedMatching, da, da_marginals
+
+# profiles per block of the evaluation pass.  It bounds the memory of the
+# misreport variants (a network's 3x3 block is 13,824 variant rows, seven
+# forward chunks); BLAS results depend on the row count, so another block
+# size changes a network's evaluated numbers in the last place.
+_EVAL_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -139,6 +145,66 @@ def fosd_search(r_truth, r_var, ind, valid, n: int, m: int, Kw: int, Kf: int):
     return best_k, best_th, best_gain
 
 
+def side_weights(n: int, m: int) -> np.ndarray:
+    """Per-agent regret weights: each side averaged, the sides halved."""
+    return np.concatenate([np.full(n, 1.0 / (2 * n)), np.full(m, 1.0 / (2 * m))])
+
+
+def welfare_batch(r: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per-profile expected welfare per agent under the true profile's
+    encodings p, q, for marginals r, all (B, n, m); unmatched agents get 0."""
+    n, m = p.shape[1:]
+    return (r * (p + q)).sum(axis=(1, 2)) / (n + m)
+
+
+def welfare_profile(r: RandomizedMatching, enc: EncodedProfile) -> float:
+    """Expected welfare per agent of one profile."""
+    _check_dims(r, enc)
+    return float(welfare_batch(r.r[None], enc.p[None], enc.q[None])[0])
+
+
+def similarity_batch(r: np.ndarray, *matchings: np.ndarray) -> np.ndarray:
+    """Per-profile agreement with deferred acceptance: the mass marginals r
+    (B, n, m) put on a DA matching's pairs over its size, best of the 0/1
+    `matchings` (B, n, m); empty matchings are skipped, 1 if all are."""
+    best = np.full(r.shape[0], -np.inf)
+    for d in matchings:
+        size = d.sum(axis=(1, 2))
+        score = (r * d).sum(axis=(1, 2)) / np.maximum(size, 1.0)
+        best = np.where(size > 0, np.maximum(best, score), best)
+    return np.where(best > -np.inf, best, 1.0)
+
+
+def similarity(r: RandomizedMatching, profile: PreferenceProfile) -> float:
+    """Agreement of one profile's marginals with its DA matchings."""
+    matchings = (da(profile, p).to_marginals().r[None] for p in Proposing)
+    return float(similarity_batch(r.r[None], *matchings)[0])
+
+
+def _plogp(x: np.ndarray) -> np.ndarray:
+    x = np.clip(x, 0.0, 1.0)
+    return np.where(x > 0.0, x * np.log2(np.maximum(x, 1e-300)), 0.0)
+
+
+def entropy_batch(r: np.ndarray) -> np.ndarray:
+    """Per-profile normalized entropy per agent of marginals r (B, n, m),
+    including the unmatched margins."""
+    B, n, m = r.shape
+    if n <= 1 or m <= 1:
+        warnings.warn("entropy undefined for single-agent sides; returning 0")
+        return np.zeros(B)
+    worker_rows = np.concatenate([r, 1.0 - r.sum(axis=2, keepdims=True)], axis=2)
+    firm_cols = np.concatenate([r, 1.0 - r.sum(axis=1, keepdims=True)], axis=1)
+    h_workers = -_plogp(worker_rows).sum(axis=(1, 2)) / np.log2(m)
+    h_firms = -_plogp(firm_cols).sum(axis=(1, 2)) / np.log2(n)
+    return h_workers / (2 * n) + h_firms / (2 * m)
+
+
+def entropy(r: RandomizedMatching) -> float:
+    """Normalized entropy per agent of one profile's marginals."""
+    return float(entropy_batch(r.r[None])[0])
+
+
 @functools.cache
 def _prefix_misreports(side: Side, size: int) -> tuple:
     """The first misreport of each acceptable prefix, in enumeration order.
@@ -150,126 +216,94 @@ def _prefix_misreports(side: Side, size: int) -> tuple:
     return tuple(first.values())
 
 
-def regret_gains(mech, profile: PreferenceProfile,
-                 r_truth: RandomizedMatching | None = None) -> np.ndarray:
-    """Per-agent max FOSD gain over misreports and the true order's
-    acceptable thresholds, floored at 0, workers then firms.  `r_truth`
-    is the mechanism's outcome on the profile, evaluated here when not
-    given.  DA and exact RSD read acceptable prefixes only, so each side's
-    table holds one misreport per acceptable prefix (the empty one
-    included); every other mechanism gets all (size+1)! misreports.  The
-    truth's own prefix slot and every slot of an agent with no acceptable
-    partner reuse `r_truth`.  The other slots' profiles go to the lifted
-    mechanism's `evaluate_many` in one call, or one `mech.evaluate` each
-    for every other mechanism."""
-    n, m = profile.n, profile.m
-    if r_truth is None:
-        r_truth = mech.evaluate(profile)
-    prefixes = isinstance(mech, LiftedMechanism) and mech.reads_prefixes_only(profile)
+def _evaluated_marginals(mech, profiles, indices):
+    """`report_marginals` from `evaluate`, profile by profile, of n x m
+    profiles at `indices` of the caller's list.  Where `reads_prefixes_only`
+    holds (DA, exact RSD), a side's table holds one misreport per acceptable
+    prefix, the empty one included, and a profile's variants are one
+    `evaluate_many` call; otherwise it holds all (size+1)! misreports, one
+    `evaluate` each.  The truth's own prefix and every report of an agent
+    accepting nobody reuse the truth."""
+    n, m = profiles[0].n, profiles[0].m
+    prefixes = getattr(mech, "reads_prefixes_only", lambda _: False)(profiles[0])
     table = _prefix_misreports if prefixes else enumerate_misreports
     tables = {Side.WORKER: table(Side.WORKER, m), Side.FIRM: table(Side.FIRM, n)}
-    slots, variants = [], []  # per slot: index into variants, or -1 for r_truth
-    for agent in profile.agents():
-        truth = profile.order_of(agent).acceptable()
-        for report in tables[agent.side]:
-            if not truth or (prefixes and report.acceptable() == truth):
-                slots.append(-1)
-            else:
-                slots.append(len(variants))
-                variants.append(profile.with_order(agent, report))
-    outcomes = mech.evaluate_many(variants) if prefixes \
-        else [mech.evaluate(variant) for variant in variants]
-    r_var = np.array([r_truth.r if i < 0 else outcomes[i].r for i in slots])
-    ind, valid = threshold_sets(*profile_ranks([profile], n, m), n, m)
-    _, _, gains = fosd_search(r_truth.r[None], r_var[None], ind, valid,
-                              n, m, len(tables[Side.WORKER]), len(tables[Side.FIRM]))
-    return gains[0]
+    truths, variants = [], []
+    for idx, profile in zip(indices, profiles):
+        try:
+            r_truth = mech.evaluate(profile).r
+            slots, reports = [], []  # per slot: index into reports, or -1 for the truth
+            for agent in profile.agents():
+                truth = profile.order_of(agent).acceptable()
+                for report in tables[agent.side]:
+                    if not truth or (prefixes and report.acceptable() == truth):
+                        slots.append(-1)
+                    else:
+                        slots.append(len(reports))
+                        reports.append(profile.with_order(agent, report))
+            outcomes = mech.evaluate_many(reports) if prefixes \
+                else [mech.evaluate(report) for report in reports]
+        except Exception as err:
+            raise RuntimeError(f"evaluation failed at profile {idx}") from err
+        truths.append(r_truth)
+        variants.append([r_truth if i < 0 else outcomes[i].r for i in slots])
+    return (np.array(truths), np.array(variants),
+            (len(tables[Side.WORKER]), len(tables[Side.FIRM])))
 
 
-def regret_profile(mech, profile: PreferenceProfile,
-                   r_truth: RandomizedMatching | None = None) -> float:
-    """Two-sided average regret: 1/2 (worker mean + firm mean) of
-    `regret_gains`."""
-    gains = regret_gains(mech, profile, r_truth)
-    return float(0.5 * (np.mean(gains[:profile.n]) + np.mean(gains[profile.n:])))
+def _block(mech, profiles, n: int, m: int, indices):
+    """Encodings P, Q and rank arrays of n x m profiles, the truthful
+    marginals r (B, n, m) and each agent's FOSD gain (B, n+m), from the
+    mechanism's own `report_marginals` if it has one."""
+    P, Q, ranks = encode_arrays(profiles, n, m)
+    own = getattr(mech, "report_marginals", None)
+    r, r_var, (Kw, Kf) = own(P, Q) if own else _evaluated_marginals(mech, profiles, indices)
+    ind, valid = threshold_sets(*ranks, n, m)
+    _, _, gains = fosd_search(r, r_var, ind, valid, n, m, Kw, Kf)
+    return P, Q, ranks, r, gains
 
 
-def welfare_profile(r: RandomizedMatching, enc: EncodedProfile) -> float:
-    """Expected welfare per agent under the evenly-spaced utilities of the
-    true profile; unmatched agents contribute zero."""
-    _check_dims(r, enc)
-    n, m = enc.p.shape
-    return float((r.r * (enc.p + enc.q)).sum() / (n + m))
+_MEANS = ("stv", "rgt", "irv", "welfare_per_agent", "sim", "entropy")
 
 
-def similarity(r: RandomizedMatching, profile: PreferenceProfile,
-               matchings=None) -> float:
-    """Agreement with deferred acceptance: mass placed on a DA matching's
-    pairs divided by that matching's size, best of the two proposing sides.
-    Sides with empty DA matchings are skipped; 1 if both are empty.
-    `matchings` are the profile's worker- and firm-proposing DA matchings,
-    computed here when not given."""
-    if matchings is None:
-        matchings = [da(profile, proposing) for proposing in Proposing]
-    scores = []
-    for matching in matchings:
-        if matching.pairs:
-            mass = sum(r.r[w, f] for w, f in matching.pairs)
-            scores.append(mass / len(matching.pairs))
-    return float(max(scores)) if scores else 1.0
+def profile_metrics(mech, profiles) -> dict:
+    """Per-profile arrays, in profile order, of every averaged `EvalReport`
+    field, from blocks of up to _EVAL_BLOCK profiles of one market shape:
+    each block's truthful and variant marginals give every field."""
+    if not profiles:
+        raise ValueError("profile list is empty")
+    shapes = [(p.n, p.m) for p in profiles]
+    arrays = np.empty((len(_MEANS), len(profiles)))
+    for n, m in sorted(set(shapes)):
+        group = [i for i, shape in enumerate(shapes) if shape == (n, m)]
+        for start in range(0, len(group), _EVAL_BLOCK):
+            indices = group[start:start + _EVAL_BLOCK]
+            P, Q, ranks, r, gains = _block(mech, [profiles[i] for i in indices],
+                                           n, m, indices)
+            arrays[:, indices] = (
+                stv_batch(r, P, Q), (gains * side_weights(n, m)).sum(axis=1),
+                irv_batch(r, P, Q),
+                welfare_batch(r, P, Q),
+                similarity_batch(r, *(da_marginals(ranks, p) for p in Proposing)),
+                entropy_batch(r))
+    return dict(zip(_MEANS, arrays))
 
 
-def entropy(r: RandomizedMatching) -> float:
-    """Normalized entropy per agent, including the unmatched margins."""
-    n, m = r.n, r.m
-    if n <= 1 or m <= 1:
-        warnings.warn("entropy undefined for single-agent sides; returning 0")
-        return 0.0
+def regret_gains(mech, profile: PreferenceProfile) -> np.ndarray:
+    """Per-agent max FOSD gain over misreports and the true order's
+    acceptable thresholds, floored at 0, workers then firms: the pass's
+    regret on one profile."""
+    return _block(mech, [profile], profile.n, profile.m, [0])[4][0]
 
-    def plogp(x):
-        x = np.clip(x, 0.0, 1.0)
-        return np.where(x > 0.0, x * np.log2(np.maximum(x, 1e-300)), 0.0)
 
-    worker_rows = np.concatenate([r.r, r.unmatched_workers()[:, None]], axis=1)
-    firm_cols = np.concatenate([r.r, r.unmatched_firms()[None, :]], axis=0)
-    h_workers = -plogp(worker_rows).sum() / np.log2(m)
-    h_firms = -plogp(firm_cols).sum() / np.log2(n)
-    return float(h_workers / (2 * n) + h_firms / (2 * m))
+def regret_profile(mech, profile: PreferenceProfile) -> float:
+    """Two-sided average regret of one profile."""
+    return float((regret_gains(mech, profile) * side_weights(profile.n, profile.m)).sum())
 
 
 def evaluate(mech, profiles) -> EvalReport:
-    """Arithmetic means of all per-profile metrics over a profile set.
-    Each profile's truthful outcome is evaluated once and shared by every
-    metric; regret comes from `regret_profile`, and similarity reads DA
-    matchings computed for all profiles at once.  For a network, stability
-    violation and regret come from the batched training search.  It runs
-    the same `fosd_search`, but its tables drop the reports that accept
-    nobody: the network's mask gives those all-zero marginals, which never
-    gain."""
-    if not profiles:
-        raise ValueError("profile list is empty")
-    stv = rgt = marginals = None
-    if isinstance(mech, NetworkMechanism):
-        from .train import evaluate_network, misreport_tables  # train imports metrics
-        stv, rgt, marginals = evaluate_network(mech.params, mech.dims, profiles,
-                                               misreport_tables(mech.dims))
-        stv, rgt = stv.tolist(), rgt.tolist()
-    matchings = zip(*(da_many(profiles, proposing) for proposing in Proposing))
-    stv_sum = rgt_sum = irv_sum = wel_sum = sim_sum = ent_sum = 0.0
-    for idx, (profile, enc, da_pair) in enumerate(zip(profiles, encode_many(profiles),
-                                                      matchings)):
-        try:
-            r = mech.evaluate(profile) if marginals is None \
-                else RandomizedMatching(marginals[idx])
-            stv_sum += stv_profile(r, enc) if stv is None else stv[idx]
-            irv_sum += irv_profile(r, enc)
-            wel_sum += welfare_profile(r, enc)
-            sim_sum += similarity(r, profile, da_pair)
-            ent_sum += entropy(r)
-            rgt_sum += regret_profile(mech, profile, r) if rgt is None else rgt[idx]
-        except Exception as err:
-            raise RuntimeError(f"evaluation failed at profile {idx}") from err
-    count = len(profiles)
-    return EvalReport(stv=stv_sum / count, rgt=rgt_sum / count, irv=irv_sum / count,
-                      welfare_per_agent=wel_sum / count, sim=sim_sum / count,
-                      entropy=ent_sum / count, profiles_evaluated=count)
+    """Means of `profile_metrics` over a profile set, each summed in
+    profile order (np.mean's pairwise sum can differ in the last bit)."""
+    means = {name: functools.reduce(operator.add, values.tolist(), 0.0) / len(profiles)
+             for name, values in profile_metrics(mech, profiles).items()}
+    return EvalReport(**means, profiles_evaluated=len(profiles))

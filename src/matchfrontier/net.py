@@ -15,10 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prefs import PreferenceProfile, encode, encode_arrays
+from .prefs import (PreferenceProfile, Side, encode, encode_arrays, encode_ranks,
+                    enumerate_misreports, rank_arrays)
 from .mechanisms import RandomizedMatching
 
 LEAKY_SLOPE = 0.01
+
+# rows per forward call: a chunk's activations stay in cache (1 MB at J=64).
+# The outputs do not depend on it while every chunk exceeds BLAS's small-matrix
+# path (OpenBLAS 0.3.31: over 50 rows at J=64, over 30 at J=256).
+_FORWARD_CHUNK = 2048
 
 
 class NumericOverflowError(ArithmeticError):
@@ -60,7 +66,8 @@ def layer_shapes(dims: NetworkDims) -> list:
 def init_params(dims: NetworkDims, seed: int, zero: bool = False) -> list:
     """Fan-in-scaled uniform weights, zero biases.  `zero` gives all-zero
     parameters (useful for the analytic forward cases)."""
-    rng = np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, 0x6E6574]))
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0x6E6574], dtype=np.uint64)  # as in profile_stream
+    rng = np.random.Generator(np.random.Philox(key=key))
     params = []
     for (w_shape, b_shape) in layer_shapes(dims):
         if zero:
@@ -133,6 +140,54 @@ def _first_nonfinite_layer(params, x: np.ndarray) -> int:
     return len(params) - 1
 
 
+def _forward_chunked(params, dims, X, beta):
+    return np.concatenate([forward_batch(params, dims, X[s:s + _FORWARD_CHUNK],
+                                         beta[s:s + _FORWARD_CHUNK])
+                           for s in range(0, X.shape[0], _FORWARD_CHUNK)])
+
+
+# ---------------------------------------------------------------------------
+# Misreport tables and variant inputs
+
+@dataclass(frozen=True)
+class _MisreportTable:
+    orders: tuple        # K PreferenceOrder
+    rows: np.ndarray     # (K, size) encoded utility rows
+
+
+def misreport_tables(dims: NetworkDims):
+    """The (worker, firm) misreport tables of a market.  Reports that accept
+    nobody are left out: they zero the agent's marginals, so never gain."""
+    tables = []
+    for side, size in ((Side.WORKER, dims.m), (Side.FIRM, dims.n)):
+        orders = tuple(o for o in enumerate_misreports(side, size) if o.acceptable())
+        tables.append(_MisreportTable(orders, encode_ranks(*rank_arrays(orders, size), size)))
+    return tuple(tables)
+
+
+def _variant_inputs(X: np.ndarray, dims: NetworkDims, tables):
+    """Inputs and masks for every (profile, agent, misreport) combination
+    of the truthful inputs X (B, 2nm), grouped profile-major, worker agents
+    before firm agents, plus the table sizes (Kw, Kf) that locate a row."""
+    n, m = dims.n, dims.m
+    B = X.shape[0]
+    table_w, table_f = tables
+    Kw, Kf = len(table_w.orders), len(table_f.orders)
+    per_profile = n * Kw + m * Kf
+    nm = n * m
+
+    Xv = np.repeat(X, per_profile, axis=0).reshape(B, per_profile, 2 * nm)
+    for w in range(n):
+        Xv[:, w * Kw:(w + 1) * Kw, w * m:(w + 1) * m] = table_w.rows[None, :, :]
+    q_idx = nm + np.arange(n) * m
+    for f in range(m):
+        rows = slice(n * Kw + f * Kf, n * Kw + (f + 1) * Kf)
+        Xv[:, rows, :][:, :, q_idx + f] = table_f.rows[None, :, :]
+    Xv = Xv.reshape(-1, 2 * nm)
+    Bv = acceptability_mask(Xv[:, :nm].reshape(-1, n, m), Xv[:, nm:].reshape(-1, n, m))
+    return Xv, Bv, (Kw, Kf)
+
+
 class NetworkMechanism:
     """Mechanism-interface wrapper around fixed network parameters."""
 
@@ -155,6 +210,22 @@ class NetworkMechanism:
         if not profiles:
             return []
         return [RandomizedMatching(r) for r in self._marginals(profiles)]
+
+    def report_marginals(self, P: np.ndarray, Q: np.ndarray):
+        """Marginals (B, n, m) of B profiles from their encodings P, Q, the
+        marginals (B, n*Kw + m*Kf, n, m) of their misreport variants (each
+        worker's Kw `misreport_tables` reports, then each firm's Kf), and
+        (Kw, Kf)."""
+        n, m = self.dims.n, self.dims.m
+        if P.shape[1:] != (n, m):
+            raise ValueError(f"a {n}x{m} network cannot evaluate "
+                             f"{P.shape[1]}x{P.shape[2]} profiles")
+        B = P.shape[0]
+        X = np.concatenate([P.reshape(B, -1), Q.reshape(B, -1)], axis=1)
+        r = _forward_chunked(self.params, self.dims, X, acceptability_mask(P, Q))
+        Xv, Bv, sizes = _variant_inputs(X, self.dims, misreport_tables(self.dims))
+        r_var = _forward_chunked(self.params, self.dims, Xv, Bv).reshape(B, -1, n, m)
+        return r, r_var, sizes
 
 
 # ---------------------------------------------------------------------------

@@ -208,14 +208,6 @@ def encode(profile: PreferenceProfile) -> EncodedProfile:
     return EncodedProfile(p=P[0], q=Q[0])
 
 
-def encode_many(profiles) -> list:
-    """encode() of every profile, one vectorized pass per market shape."""
-    def batch(group, n, m):
-        P, Q, _ = encode_arrays(group, n, m)
-        return [EncodedProfile(p=p, q=q) for p, q in zip(P, Q)]
-    return per_shape(profiles, batch)
-
-
 def enumerate_misreports(side: Side, size: int) -> list:
     """All (size+1)! strict orders over the opposite side plus BOTTOM, in
     deterministic lexicographic order (partners ascending, BOTTOM last in
@@ -255,7 +247,9 @@ def profile_stream(seed: int, index: int, lane: int = 0) -> np.random.Generator:
     Philox keyed on (seed, lane:index) so profiles can be generated in any
     order, or in parallel, with bitwise-reproducible results.
     """
-    key = [seed & 0xFFFFFFFFFFFFFFFF, ((lane & 0xFFFF) << 48) | (index & 0xFFFFFFFFFFFF)]
+    # uint64: as a plain list, a seed of 2**63 or more passes through float64
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF,
+                    ((lane & 0xFFFF) << 48) | (index & 0xFFFFFFFFFFFF)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -1,6 +1,5 @@
 """Training: minibatch assembly, defeating-misreport search, the tradeoff
-loss, the SGD loop, checkpointing, and the exact stability-violation and
-regret evaluation of a network.
+loss, the SGD loop and checkpointing.
 
 The loss is lambda * stability violation + (1 - lambda) * a regret
 surrogate.  Per agent, the surrogate fixes both the defeating misreport
@@ -16,27 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff, net
+from . import autodiff, metrics, net
 from .autodiff import NumericError, OptimizerState, Tape, adam_step, backward, lr_schedule
-from .metrics import fosd_search, stv_batch, threshold_sets
-from .net import NetworkDims, NumericOverflowError, init_params
-from .prefs import (DistributionConfig, Side, encode_arrays, encode_ranks,
-                    enumerate_misreports, profile_stream, rank_arrays,
-                    sample_profile, sample_profiles)
+from .metrics import fosd_search, side_weights, threshold_sets
+from .net import (NetworkDims, NetworkMechanism, NumericOverflowError, _forward_chunked,
+                  _variant_inputs, init_params, misreport_tables)
+from .prefs import (DistributionConfig, encode_arrays, profile_stream, sample_profile,
+                    sample_profiles)
 
 TRAIN_LANE = 1
 HELDOUT_LANE = 2
-
-# rows per forward call: a chunk's activations stay in cache (1 MB at J=64).
-# The outputs do not depend on it while every chunk exceeds BLAS's small-matrix
-# path (OpenBLAS 0.3.31: over 50 rows at J=64, over 30 at J=256).
-_FORWARD_CHUNK = 2048
-
-# profiles per block of evaluate_network's search, which bounds the memory
-# of the misreport variants (at 3x3 a block is 13,824 variant rows, seven
-# forward chunks).  BLAS results depend on the row count, so another block
-# size changes the evaluated numbers in the last place.
-_EVAL_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -61,31 +49,7 @@ class TrainConfig:
 
 
 # ---------------------------------------------------------------------------
-# Precomputed misreport tables and batch layout
-
-@dataclass(frozen=True)
-class _MisreportTable:
-    orders: tuple        # K PreferenceOrder
-    rows: np.ndarray     # (K, size) encoded utility rows
-
-
-def _misreport_table(side: Side, size: int) -> _MisreportTable:
-    # accepting nobody zeroes the agent's marginals: its gain is never positive
-    orders = [o for o in enumerate_misreports(side, size) if o.acceptable()]
-    rows = encode_ranks(*rank_arrays(orders, size), size)
-    return _MisreportTable(tuple(orders), rows)
-
-
-def misreport_tables(dims: NetworkDims):
-    """The (worker, firm) misreport tables of a market."""
-    return (_misreport_table(Side.WORKER, dims.m),
-            _misreport_table(Side.FIRM, dims.n))
-
-
-def _side_weights(n: int, m: int) -> np.ndarray:
-    """Per-agent regret weights: each side averaged, the sides halved."""
-    return np.concatenate([np.full(n, 1.0 / (2 * n)), np.full(m, 1.0 / (2 * m))])
-
+# Batch layout
 
 class _Batch:
     """Dense arrays for one batch of profiles plus threshold indicators.
@@ -101,37 +65,6 @@ class _Batch:
         self.beta = net.acceptability_mask(self.P, self.Q)
         self.ind, self.thr_valid = threshold_sets(*ranks, dims.n, dims.m)
         self.X = np.concatenate([self.P.reshape(B, -1), self.Q.reshape(B, -1)], axis=1)
-
-
-def _forward_chunked(params, dims, X, beta):
-    outs = []
-    for start in range(0, X.shape[0], _FORWARD_CHUNK):
-        outs.append(net.forward_batch(params, dims, X[start:start + _FORWARD_CHUNK],
-                                      beta[start:start + _FORWARD_CHUNK]))
-    return np.concatenate(outs, axis=0)
-
-
-def _variant_inputs(batch: _Batch, dims: NetworkDims, tables):
-    """Inputs and masks for every (profile, agent, misreport) combination,
-    grouped profile-major, worker agents before firm agents, plus the table
-    sizes (Kw, Kf) that locate a row."""
-    n, m = dims.n, dims.m
-    B = len(batch.profiles)
-    table_w, table_f = tables
-    Kw, Kf = len(table_w.orders), len(table_f.orders)
-    per_profile = n * Kw + m * Kf
-    nm = n * m
-
-    Xv = np.repeat(batch.X, per_profile, axis=0).reshape(B, per_profile, 2 * nm)
-    for w in range(n):
-        Xv[:, w * Kw:(w + 1) * Kw, w * m:(w + 1) * m] = table_w.rows[None, :, :]
-    q_idx = nm + np.arange(n) * m
-    for f in range(m):
-        rows = slice(n * Kw + f * Kf, n * Kw + (f + 1) * Kf)
-        Xv[:, rows, :][:, :, q_idx + f] = table_f.rows[None, :, :]
-    Xv = Xv.reshape(-1, 2 * nm)
-    Bv = net.acceptability_mask(Xv[:, :nm].reshape(-1, n, m), Xv[:, nm:].reshape(-1, n, m))
-    return Xv, Bv, (Kw, Kf)
 
 
 def _search_defeating(params, dims: NetworkDims, batch: _Batch, variants, r_truth):
@@ -207,7 +140,7 @@ def _loss_from_batch(params, dims: NetworkDims, batch: _Batch, lam: float,
     # the one truth forward: the search reads the tape's values, which equal
     # forward_batch's bitwise for batches of up to _FORWARD_CHUNK rows
     r_t = _forward_tape(tape, param_nodes, dims, batch.X, batch.beta)
-    variants = _variant_inputs(batch, dims, tables)
+    variants = _variant_inputs(batch.X, dims, tables)
     if selection is None:
         best_k, best_th, _ = _search_defeating(params, dims, batch, variants, r_t.value)
     else:
@@ -232,7 +165,7 @@ def _loss_from_batch(params, dims: NetworkDims, batch: _Batch, lam: float,
     # regret surrogate at the fixed defeating report and threshold
     cum_d = (r_d.reshape(B, A, n, m) * tape.constant(ind_sel)).sum(axis=(2, 3))
     cum_t = (r_t.reshape(B, 1, n, m) * tape.constant(ind_sel)).sum(axis=(2, 3))
-    rgt_node = ((cum_d - cum_t).relu() * tape.constant(_side_weights(n, m))).sum(axis=1).mean()
+    rgt_node = ((cum_d - cum_t).relu() * tape.constant(side_weights(n, m))).sum(axis=1).mean()
 
     loss = stv_node * lam + rgt_node * (1.0 - lam)
     return LossBuild(tape=tape, loss=loss, param_nodes=param_nodes,
@@ -252,29 +185,9 @@ def loss_minibatch(params, dims: NetworkDims, profiles, lam: float,
                             misreport_tables(dims), selection=selection)
 
 
-# ---------------------------------------------------------------------------
-# Network evaluation (exact: the search gain *is* the enumerated regret)
-
-def evaluate_network(params, dims: NetworkDims, profiles, tables):
-    """Per-profile stability violation, per-profile regret and the marginals
-    (P, n, m) of a network.  An agent's regret is its best misreport's FOSD
-    gain over the tables, weighted 1/(2n) for workers and 1/(2m) for firms."""
-    weights = _side_weights(dims.n, dims.m)
-    stv, rgt, marginals = [], [], []
-    for start in range(0, len(profiles), _EVAL_BLOCK):
-        batch = _Batch(profiles[start:start + _EVAL_BLOCK], dims)
-        r = _forward_chunked(params, dims, batch.X, batch.beta)
-        _, _, best_gain = _search_defeating(params, dims, batch,
-                                            _variant_inputs(batch, dims, tables), r)
-        stv.append(stv_batch(r, batch.P, batch.Q))
-        rgt.append((best_gain * weights).sum(axis=1))
-        marginals.append(r)
-    return np.concatenate(stv), np.concatenate(rgt), np.concatenate(marginals)
-
-
-def _heldout_stv_rgt(params, dims: NetworkDims, profiles, tables):
-    stv, rgt, _ = evaluate_network(params, dims, profiles, tables)
-    return float(stv.mean()), float(rgt.mean())
+def _heldout_stv_rgt(params, dims: NetworkDims, profiles):
+    arrays = metrics.profile_metrics(NetworkMechanism(params, dims), profiles)
+    return float(arrays["stv"].mean()), float(arrays["rgt"].mean())
 
 
 @dataclass
@@ -339,7 +252,7 @@ def train(config: TrainConfig, progress=None) -> TrainResult:
         done = it + 1
         if done == config.iterations or (config.eval_every and done % config.eval_every == 0):
             if heldout is not None:
-                stv, rgt = _heldout_stv_rgt(params, dims, heldout, tables)
+                stv, rgt = _heldout_stv_rgt(params, dims, heldout)
             mean_loss = float(np.mean(loss_window[-max(1, config.eval_every):]))
             log.append((done, mean_loss, stv, rgt, state.lr))
             write_log()
@@ -349,7 +262,7 @@ def train(config: TrainConfig, progress=None) -> TrainResult:
 
     if not config.iterations:
         if heldout is not None:
-            stv, rgt = _heldout_stv_rgt(params, dims, heldout, tables)
+            stv, rgt = _heldout_stv_rgt(params, dims, heldout)
         write_log()
         checkpoint()
     return TrainResult(params=params, log=log, heldout_stv=stv, heldout_rgt=rgt)

@@ -22,8 +22,7 @@ from matchfrontier.prefs import (BOTTOM, AgentId, DistributionConfig,
                                  DistributionKind, PreferenceOrder, Side,
                                  encode, encode_arrays, encode_order,
                                  sample_profiles)
-from matchfrontier.train import (HELDOUT_LANE, _heldout_stv_rgt, loss_minibatch,
-                                 misreport_tables)
+from matchfrontier.train import HELDOUT_LANE, _heldout_stv_rgt, loss_minibatch
 from matchfrontier.autodiff import backward
 
 from conftest import EXAMPLE1_TEXT, RSD_EXPECTED
@@ -68,7 +67,7 @@ def desk_heldout():
 
 def _learned_heldout(lam, seed, desk_heldout):
     params, dims, _, _ = load_checkpoint(traincache.ensure_checkpoint(lam, seed))
-    return _heldout_stv_rgt(params, dims, desk_heldout[seed], misreport_tables(dims))
+    return _heldout_stv_rgt(params, dims, desk_heldout[seed])
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import matchfrontier
 from matchfrontier import cli, metrics
 from matchfrontier.mechanisms import LiftedMechanism, MechanismKind, parse_matching
 from matchfrontier.net import NetworkDims, init_params, save_checkpoint
@@ -85,6 +89,62 @@ class TestSeedOverride:
         cli.main(["gen", "--config", tiny_cfg, "--count", "4", "--out", str(out_c)])
         assert out_a.read_text() != out_b.read_text()
         assert out_b.read_text() == out_c.read_text()
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_gen_rejects_seed(self, tmp_path, seed, capsys):
+        out = tmp_path / "p.txt"
+        assert cli.main(["gen", "--seed", seed, "--count", "2", "--out", str(out)]) == 1
+        assert "error: seed must lie in [0, 2**64)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seeds_keep_their_low_bits(self, tmp_path):
+        # seeds of 2**63 and more key the profile streams exactly
+        texts = []
+        for seed in (2 ** 64 - 1, 2 ** 64 - 2):
+            out = tmp_path / f"{seed}.txt"
+            assert cli.main(["gen", "--seed", str(seed), "--count", "2",
+                             "--out", str(out)]) == 0
+            texts.append(out.read_text().split("\n", 1)[1])
+        assert texts[0] != texts[1]
+
+    def test_train_rejects_seed_before_training(self, tmp_path, tiny_cfg, capsys):
+        ckpt = tmp_path / "run.ckpt"
+        assert cli.main(["train", "--config", tiny_cfg, "--seed", "-1",
+                         "--checkpoint", str(ckpt)]) == 1
+        captured = capsys.readouterr()
+        assert "error: seed must lie in [0, 2**64)" in captured.err
+        assert "iter" not in captured.out and not ckpt.exists()
+
+    def test_config_and_env_seed_checked(self, tmp_path, tiny_cfg, monkeypatch):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CFG.replace("seed = 3", "seed = -1"))
+        ckpt = tmp_path / "run.ckpt"
+        assert cli.main(["train", "--config", str(bad), "--checkpoint", str(ckpt)]) == 1
+        monkeypatch.setenv("MATCH_SEED", "-1")
+        assert cli.main(["train", "--config", tiny_cfg, "--checkpoint", str(ckpt)]) == 1
+        assert not ckpt.exists()
+
+
+class TestProcess:
+    def test_parser_built_once(self, tmp_path, profile_file, capsys):
+        # the cached parser serves one subcommand after another
+        out = tmp_path / "more.txt"
+        assert cli.main(["gen", "--seed", "5", "--count", "3", "--out", str(out)]) == 0
+        assert cli.main(["eval", "--mechanism", "rsd", "--profiles", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "wrote 3 profiles to " + str(out)
+        assert lines[-1].startswith("rsd,,") and lines[-1].endswith(",3")
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_import_leaves_networkx_out(self):
+        src = os.path.dirname(os.path.dirname(matchfrontier.__file__))
+        code = "import sys, matchfrontier; print('networkx' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
 
 class TestGen:

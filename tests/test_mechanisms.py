@@ -10,7 +10,7 @@ from matchfrontier.mechanisms import (DEFAULT_RSD_CAP, DeterministicMatching,
                                       InvalidMatchingError, LiftedMechanism,
                                       MechanismKind,
                                       Proposing, RandomizedMatching,
-                                      bvn_decompose, da, da_many,
+                                      bvn_decompose, da,
                                       format_matching, parse_matching,
                                       rsd_exact, rsd_monte_carlo,
                                       serial_dictatorship_round)
@@ -113,11 +113,15 @@ class TestBatchedKernels:
     @pytest.mark.parametrize("proposing", list(Proposing))
     def test_da_rows_equal_loop_da(self, n, m, proposing):
         profiles = mixed_rows(n, m, seed=80)
-        held = mechanisms.da_rows(profile_ranks(profiles, n, m), proposing)
+        ranks = profile_ranks(profiles, n, m)
+        held = mechanisms.da_rows(ranks, proposing)
         assert np.array_equal(held, [loop_held(p, proposing) for p in profiles])
-        # the one-row API and the per-shape batch give the loop's matchings
-        for p, mu in zip(profiles, da_many(profiles, proposing)):
-            assert mu == da(p, proposing) == oracle.da_by_rounds(p, proposing)
+        # the batched marginals and the one-row API give the loop's matchings
+        loops = [oracle.da_by_rounds(p, proposing) for p in profiles]
+        assert np.array_equal(mechanisms.da_marginals(ranks, proposing),
+                              [mu.to_marginals().r for mu in loops])
+        for p, mu in zip(profiles, loops):
+            assert da(p, proposing) == mu
 
     @pytest.mark.parametrize("n, m", SHAPES)
     def test_rsd_rows_bitwise_equal_enumeration(self, n, m):

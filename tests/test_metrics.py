@@ -3,7 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from matchfrontier import metrics
+from matchfrontier import metrics, net
 from matchfrontier.mechanisms import (LiftedMechanism, MechanismKind, Proposing,
                                       RandomizedMatching, da, rsd_exact)
 from matchfrontier.net import NetworkDims, NetworkMechanism, init_params
@@ -353,12 +353,23 @@ class TestPrefixRegret:
         # each evaluated on its own
         assert calls == [1] * (1 + 4 * 720 + 5 * 120)
 
-    def test_network_enumerates_every_misreport(self, example1, monkeypatch):
+    def test_network_forwards_its_own_tables(self, example1, monkeypatch):
+        # a network's variants come from its misreport tables, 18 reports
+        # per agent at 3x3 (the 24 orders less the 6 that accept nobody),
+        # in one forward call after the truth's; `evaluate` is never called
         dims = NetworkDims(3, 3, R=2, J=8)
         mech = NetworkMechanism(init_params(dims, seed=3), dims)
         calls = count_evaluations(monkeypatch, NetworkMechanism)
+        rows, forward = [], net.forward_batch
+
+        def counted(params, dims, x, beta):
+            rows.append(x.shape[0])
+            return forward(params, dims, x, beta)
+
+        monkeypatch.setattr(net, "forward_batch", counted)
         metrics.regret_profile(mech, example1)
-        assert calls == [1] * (1 + 6 * 24)
+        assert calls == []
+        assert rows == [1, 6 * 18]
 
 
 class TestWelfare:
@@ -436,6 +447,31 @@ class TestEvaluate:
             for field in fields(metrics.EvalReport):
                 name = field.name
                 assert abs(getattr(a, name) - getattr(b, name)) <= 1e-12, (n, m, name)
+
+    @pytest.mark.parametrize("kind", [MechanismKind.WDA, MechanismKind.RSD])
+    def test_mixed_shapes_match_evaluate_only_reference(self, kind):
+        # profiles of three shapes, interleaved: each shape is its own block,
+        # and the arrays come back in profile order
+        groups = [random_profiles(4, n, m, seed=50 + n) for n, m in ((2, 3), (3, 2), (3, 3))]
+        profiles = [p for trio in zip(*groups) for p in trio]
+        mech = LiftedMechanism(kind)
+        got = metrics.profile_metrics(mech, profiles)
+        expected = metrics.profile_metrics(Delegating(mech), profiles)
+        for name in got:
+            assert got[name].shape == (len(profiles),)
+            assert np.abs(got[name] - expected[name]).max() <= 1e-12, name
+        for i, profile in enumerate(profiles):
+            assert abs(got["rgt"][i] - metrics.regret_profile(mech, profile)) <= 1e-12
+        report = metrics.evaluate(mech, profiles)
+        reference = metrics.evaluate(Delegating(mech), profiles)
+        for field in fields(metrics.EvalReport):
+            assert abs(getattr(report, field.name) - getattr(reference, field.name)) <= 1e-12
+
+    def test_network_refuses_other_shape(self, example1):
+        dims = NetworkDims(2, 2, R=2, J=8)
+        mech = NetworkMechanism(init_params(dims, seed=2), dims)
+        with pytest.raises(ValueError, match="a 2x2 network cannot evaluate 3x3 profiles"):
+            metrics.evaluate(mech, [example1])
 
     def test_error_annotated_with_profile_index(self, example1):
         class Broken:

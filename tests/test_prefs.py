@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from matchfrontier.net import NetworkDims, build_mask
 from matchfrontier.prefs import (BOTTOM, DistributionConfig, DistributionKind,
                                  EnumerationOverflowError, PreferenceOrder,
-                                 PreferenceProfile, Side, encode, encode_many,
+                                 PreferenceProfile, Side, encode,
                                  encode_order, enumerate_misreports,
                                  format_profile, parse_profile, profile_stream,
                                  sample_order, sample_profile, sample_profiles)
@@ -105,13 +105,11 @@ class TestOneEncoder:
     @pytest.mark.parametrize("sample", SAMPLES)
     def test_encode_and_mask_equal_loops(self, n, m, sample):
         profiles = _sampled(n, m, **sample)
-        many = encode_many(profiles)
-        for profile, enc_many in zip(profiles, many):
+        for profile in profiles:
             p, q = reference_encode(profile)
             enc = encode(profile)
-            for got in (enc, enc_many):
-                _assert_same(got.p, p)
-                _assert_same(got.q, q)
+            _assert_same(enc.p, p)
+            _assert_same(enc.q, q)
             _assert_same(build_mask(profile), reference_build_mask(profile))
             for order in profile.workers:
                 _assert_same(encode_order(order, m), reference_encode_order(order, m))
@@ -126,20 +124,11 @@ class TestOneEncoder:
         _assert_same(batch.Q, np.stack([q for _, q in refs]))
         _assert_same(batch.beta, np.stack([reference_build_mask(p) for p in profiles]))
 
-    def test_encode_many_mixed_shapes(self):
-        profiles = (_sampled(2, 3, count=3) + _sampled(3, 2, count=2)
-                    + _sampled(2, 3, count=2, seed=4))
-        for profile, enc in zip(profiles, encode_many(profiles)):
-            p, q = reference_encode(profile)
-            _assert_same(enc.p, p)
-            _assert_same(enc.q, q)
-
     def test_wrong_size_names_both_sizes(self):
         # a worker order over 2 firms in a market of 3 firms
         profile = PreferenceProfile((order(0, 1, BOTTOM),),
                                     tuple(order(0, BOTTOM) for _ in range(3)))
-        for call in (lambda: encode(profile), lambda: encode_many([profile]),
-                     lambda: build_mask(profile),
+        for call in (lambda: encode(profile), lambda: build_mask(profile),
                      lambda: encode_order(order(0, 1, BOTTOM), 3),
                      lambda: _Batch([profile], NetworkDims(1, 3, R=1, J=2))):
             with pytest.raises(ValueError, match="order ranks 2 partners, expected 3"):

@@ -174,7 +174,7 @@ class TestDefeatInputs:
         tables = misreport_tables(dims)
         params = init_params(dims, seed=3)
         r_truth = _forward_chunked(params, dims, batch.X, batch.beta)
-        variants = _variant_inputs(batch, dims, tables)
+        variants = _variant_inputs(batch.X, dims, tables)
         searched = _search_defeating(params, dims, batch, variants, r_truth)[:2]
         # a random selection also reaches misreports the search never picks
         rng = np.random.default_rng(5)
@@ -194,7 +194,7 @@ def search(params, dims, profiles):
     """_search_defeating's (best_k, best_gain) on a batch of profiles."""
     batch = _Batch(profiles, dims)
     r_truth = _forward_chunked(params, dims, batch.X, batch.beta)
-    variants = _variant_inputs(batch, dims, misreport_tables(dims))
+    variants = _variant_inputs(batch.X, dims, misreport_tables(dims))
     best_k, _, best_gain = _search_defeating(params, dims, batch, variants, r_truth)
     return best_k, best_gain
 
@@ -229,7 +229,7 @@ def full_tables(dims):
     for side, size in ((Side.WORKER, dims.m), (Side.FIRM, dims.n)):
         orders = enumerate_misreports(side, size)
         rows = encode_ranks(*rank_arrays(orders, size), size)
-        tables.append(train_module._MisreportTable(tuple(orders), rows))
+        tables.append(net._MisreportTable(tuple(orders), rows))
     return tuple(tables)
 
 
@@ -260,7 +260,7 @@ class TestPrunedTables:
         B = 8
         batch = _Batch(sample_profiles(dist, B), dims)
         table_w, table_f = tables = full_tables(dims)
-        Xv, Bv, (Kw, Kf) = _variant_inputs(batch, dims, tables)
+        Xv, Bv, (Kw, Kf) = _variant_inputs(batch.X, dims, tables)
         assert (Kw, Kf) == (len(table_w.orders), len(table_f.orders))
         r = _forward_chunked(init_params(dims, seed=2), dims, Xv, Bv)
         r = r.reshape(B, n * Kw + m * Kf, n, m)
@@ -283,9 +283,9 @@ class TestPrunedTables:
         r_truth = _forward_chunked(params, dims, batch.X, batch.beta)
         full = full_tables(dims)
         full_k, full_th, full_gain = _search_defeating(
-            params, dims, batch, _variant_inputs(batch, dims, full), r_truth)
+            params, dims, batch, _variant_inputs(batch.X, dims, full), r_truth)
         best_k, best_th, best_gain = _search_defeating(
-            params, dims, batch, _variant_inputs(batch, dims, misreport_tables(dims)), r_truth)
+            params, dims, batch, _variant_inputs(batch.X, dims, misreport_tables(dims)), r_truth)
         assert (best_k >= 0).any()
         assert best_gain.tobytes() == full_gain.tobytes()
         assert np.array_equal(best_th, full_th)
@@ -302,7 +302,7 @@ class TestForwardChunks:
         config = traincache.desk_config(0.5, 1)
         dims = config.dims
         batch = _Batch(sample_profiles(config.dist, config.batch_size, lane=1), dims)
-        Xv, Bv, _ = _variant_inputs(batch, dims, misreport_tables(dims))
+        Xv, Bv, _ = _variant_inputs(batch.X, dims, misreport_tables(dims))
         assert Xv.shape[0] == 13_824
         params = init_params(dims, seed=1)
         chunked = _forward_chunked(params, dims, Xv, Bv)
@@ -347,7 +347,7 @@ class TestTruthForward:
         batch = _Batch(profiles, dims)
         tables = misreport_tables(dims)
         r_plain = _forward_chunked(params, dims, batch.X, batch.beta)
-        pinned = _search_defeating(params, dims, batch, _variant_inputs(batch, dims, tables),
+        pinned = _search_defeating(params, dims, batch, _variant_inputs(batch.X, dims, tables),
                                    r_plain)[:2]
         build = loss_minibatch(params, dims, profiles, 0.4)
         for got, expected in zip(build.selection, pinned):
@@ -378,6 +378,19 @@ class TestTrainLoop:
         report = metrics.evaluate(mech, heldout)
         assert result.heldout_stv == pytest.approx(report.stv, abs=1e-9)
         assert result.heldout_rgt == pytest.approx(report.rgt, abs=1e-9)
+
+    def test_heldout_is_mean_of_pass_arrays(self):
+        # training's held-out numbers are np.mean of the learned per-profile
+        # arrays that metrics.evaluate sums in profile order
+        config = small_config(dims=NetworkDims(3, 3, R=2, J=6), dist=small_dist(3, 3),
+                              iterations=2, eval_every=2, test_size=140)
+        result = train(config)
+        heldout = sample_profiles(config.dist, config.test_size, lane=HELDOUT_LANE)
+        arrays = metrics.profile_metrics(NetworkMechanism(result.params, config.dims),
+                                         heldout)
+        assert result.heldout_stv == float(arrays["stv"].mean())
+        assert result.heldout_rgt == float(arrays["rgt"].mean())
+        assert result.log[-1][2:4] == (result.heldout_stv, result.heldout_rgt)
 
     def test_checkpoint_and_log_written(self, tmp_path):
         ckpt = tmp_path / "run.ckpt"
