@@ -115,9 +115,13 @@ def resolve_settings(args) -> dict:
         settings["iterations"] = args.iterations
     if "MATCH_SEED" in os.environ:
         settings["seed"] = int(os.environ["MATCH_SEED"])
-    if not 0 <= settings["seed"] < 2 ** 64:  # streams and checkpoints hold a u64
-        raise ConfigError(f"seed must lie in [0, 2**64), got {settings['seed']}")
+    check_seed(settings["seed"])
     return settings
+
+
+def check_seed(seed: int) -> None:
+    if not 0 <= seed < 2 ** 64:  # streams and checkpoints hold a u64
+        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
 
 
 def dist_from_settings(settings) -> DistributionConfig:
@@ -229,6 +233,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    seed = args.seed or 0
+    check_seed(seed)
     mech, lam, profiles = load_source(args)
     report = metrics.evaluate(mech, profiles)
     label = args.label or getattr(mech, "label", "mechanism")
@@ -243,7 +249,9 @@ def cmd_eval(args) -> int:
                 writer.writerow(EVAL_HEADER)
             writer.writerow(row)
     if args.matchings_out:
-        rng = np.random.Generator(np.random.Philox(key=[args.seed or 0, 0xB45E]))
+        # uint64: as a plain list, a seed of 2**63 or more passes through float64
+        key = np.array([seed, 0xB45E], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
         with open(args.matchings_out, "w") as fh:
             for profile in profiles:
                 decomposition = bvn_decompose(mech.evaluate(profile))

@@ -6,31 +6,25 @@ Agents are addressed by side and index; in priority orders, workers are
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .prefs import (BOTTOM, PreferenceProfile, format_profile, per_shape,
-                    profile_ranks)
+from .prefs import BOTTOM, EnumerationCapError, PreferenceProfile, profile_ranks
 
 MARGINAL_TOL = 1e-9
 
-# Markets of more than DEFAULT_RSD_CAP agents in all get Monte-Carlo RSD.
-# rsd_exact_rows' level-by-level count over (to act, unmatched) states
-# would handle 5x5 too, but moving those markets to exact RSD would change
-# LiftedMechanism's outputs.
-DEFAULT_RSD_CAP = 8
+# Exact RSD's largest market, n+m agents in all.  18! < 2**53, so every
+# pair count and (n+m)! is an exact float64 integer, and the one division
+# gives the correctly rounded share.  int64 would hold 20!, but the counts
+# could then pass 2**53.
+RSD_CAP = 18
 
 
 class InvalidMatchingError(ValueError):
     """A matching or marginal matrix violates its invariants."""
-
-
-class EnumerationCapError(ValueError):
-    """Exact RSD refused: the market has more agents than the cap."""
 
 
 class Proposing(Enum):
@@ -169,29 +163,6 @@ def da(profile: PreferenceProfile, proposing: Proposing = Proposing.WORKERS
     return DeterministicMatching(frozenset(map(tuple, np.argwhere(r).tolist())), n, m)
 
 
-def _partner_lists(profile: PreferenceProfile) -> list:
-    """Each agent's acceptable partners as agent ids, most preferred first."""
-    n = profile.n
-    return ([[n + f for f in o.acceptable()] for o in profile.workers]
-            + [list(o.acceptable()) for o in profile.firms])
-
-
-def _serial_pass(partners: list, priority, n: int) -> list:
-    """Serial dictatorship over agent ids: each agent, in priority order,
-    takes its first still unmatched partner.  Returns (worker, firm) pairs."""
-    free = (1 << len(partners)) - 1  # bit a set while agent a is unmatched
-    pairs = []
-    for agent in priority:
-        if not free >> agent & 1:
-            continue
-        for b in partners[agent]:
-            if free >> b & 1:
-                free &= ~(1 << agent | 1 << b)
-                pairs.append((agent, b - n) if agent < n else (b, agent - n))
-                break
-    return pairs
-
-
 def serial_dictatorship_round(profile: PreferenceProfile, priority
                               ) -> DeterministicMatching:
     """One serial-dictatorship pass: each agent, in priority order, takes its
@@ -199,13 +170,20 @@ def serial_dictatorship_round(profile: PreferenceProfile, priority
     n, m = profile.n, profile.m
     if sorted(priority) != list(range(n + m)):
         raise ValueError("priority must be a permutation of all n+m agents")
-    pairs = _serial_pass(_partner_lists(profile), [int(a) for a in priority], n)
+    # each agent's acceptable partners as agent ids, most preferred first
+    partners = ([[n + f for f in o.acceptable()] for o in profile.workers]
+                + [list(o.acceptable()) for o in profile.firms])
+    free = (1 << (n + m)) - 1  # bit a set while agent a is unmatched
+    pairs = []
+    for agent in map(int, priority):
+        if not free >> agent & 1:
+            continue
+        for b in partners[agent]:
+            if free >> b & 1:
+                free &= ~(1 << agent | 1 << b)
+                pairs.append((agent, b - n) if agent < n else (b, agent - n))
+                break
     return DeterministicMatching(frozenset(pairs), n, m)
-
-
-# bits set in each agent mask of a market under the cap
-_POPCOUNT = np.array([bin(mask).count("1") for mask in range(1 << DEFAULT_RSD_CAP)])
-_FACTORIAL = np.array([math.factorial(k) for k in range(DEFAULT_RSD_CAP + 1)])
 
 
 def rsd_exact_rows(ranks) -> np.ndarray:
@@ -222,16 +200,15 @@ def rsd_exact_rows(ranks) -> np.ndarray:
     successor state gains weight*(k-1)!/|todo'|!, one order of its agents
     standing for that many orders of the k-1 agents after a.  Equal (row,
     todo, unmatched) states are merged after each level.  Weights and
-    counts are exact int64 integers (at most 8! = 40,320), so the one
+    counts are int64 integers of at most RSD_CAP! < 2**53, so the one
     division by (n+m)! at the end gives the same bits as counting over
     every order."""
     rank_w, cut_w, rank_f, cut_f = ranks
     m, n = rank_w.shape[1], rank_f.shape[1]
     A = n + m
-    if A > DEFAULT_RSD_CAP:
+    if A > RSD_CAP:
         raise EnumerationCapError(
-            f"exact RSD is limited to n+m <= {DEFAULT_RSD_CAP} agents (n+m={A});"
-            " use rsd_monte_carlo")
+            f"exact RSD is limited to n+m <= {RSD_CAP} agents (n+m={A})")
     R = rank_w.shape[0] // n
     # partners[r, a, t]: agent id of agent a's partner ranked t; the slots
     # past its cut hold A, a stand-in for "nobody" that is always unmatched
@@ -240,7 +217,7 @@ def rsd_exact_rows(ranks) -> np.ndarray:
                                    A).reshape(R, n, m)
     partners[:, n:, :n] = np.where(np.arange(n) < cut_f, rank_f.argsort(axis=1),
                                    A).reshape(R, m, n)
-    pair, keep = _rsd_moves(n, m)
+    pair, keep, popcount, factorial = _rsd_tables(n, m)
     agents, everyone = np.arange(A), (1 << A) - 1
     # one state per key, row << 2A+1 | todo << A+1 | 1 << A | free: bit A
     # marks the stand-in A as unmatched
@@ -249,19 +226,19 @@ def rsd_exact_rows(ranks) -> np.ndarray:
     counts = np.zeros((R, n * m + 1), dtype=np.int64)  # last column: no pair formed
     for k in range(A, 0, -1):
         todo = key >> A + 1 & everyone
-        level = _POPCOUNT[todo] == k
+        level = popcount[todo] == k
         rest_key, rest_weight = key[~level], weight[~level]
         key, todo, weight = key[level], todo[level], weight[level]
         state, a = np.nonzero(todo[:, None] >> agents & 1)  # each agent yet to act
-        key, weight = key[state], weight[state] * _FACTORIAL[k - 1]
+        key, weight = key[state], weight[state] * factorial[k - 1]
         row = key >> 2 * A + 1
         lists = partners[row, a]
         open_ = key[:, None] >> lists & 1
         b = lists[np.arange(len(a)), open_.argmax(axis=1)]  # A when a takes nobody
         np.add.at(counts, (row, pair[a, b]), weight)
         key = key & keep[a, b]
-        sub_todo = _POPCOUNT[key >> A + 1 & everyone]
-        weight //= _FACTORIAL[sub_todo]
+        sub_todo = popcount[key >> A + 1 & everyone]
+        weight //= factorial[sub_todo]
         live = sub_todo > 0
         key = np.concatenate([rest_key, key[live]])
         weight = np.concatenate([rest_weight, weight[live]])
@@ -273,22 +250,29 @@ def rsd_exact_rows(ranks) -> np.ndarray:
         np.not_equal(key[1:], key[:-1], out=first[1:])
         starts = np.flatnonzero(first)
         key, weight = key[starts], np.add.reduceat(weight, starts)
-    return counts[:, :-1].reshape(R, n, m) / _FACTORIAL[A]
+    return counts[:, :-1].reshape(R, n, m) / factorial[A]
 
 
 @functools.cache
-def _rsd_moves(n: int, m: int):
+def _rsd_tables(n: int, m: int):
     """Tables over (actor a, pick b), b = n+m for no pick: the column
     w*m + f of the pair formed (n*m for none), and the mask that keeps the
     key bits that a's move leaves in place: a leaves "to act", and a pair
-    leaves both "to act" and "unmatched"."""
+    leaves both "to act" and "unmatched".  Then the bits set in each mask
+    of the n+m agents, and k! for k = 0..n+m."""
     A = n + m
     a, b = np.arange(A)[:, None], np.arange(A + 1)
     pair = np.where(b < A, np.minimum(a, b) * m + np.maximum(a, b) - n, n * m)
     matched = np.where(b < A, 1 << a | 1 << b, 0)
     keep = ~((1 << a | matched) << A + 1 | matched)
-    pair.flags.writeable = keep.flags.writeable = False  # shared by every call
-    return pair, keep
+    popcount = np.zeros(1 << A, dtype=np.int64)
+    for bit in range(A):
+        popcount[1 << bit:2 << bit] = popcount[:1 << bit] + 1
+    factorial = np.array([math.factorial(k) for k in range(A + 1)])
+    tables = pair, keep, popcount, factorial
+    for table in tables:
+        table.flags.writeable = False  # shared by every call
+    return tables
 
 
 def rsd_exact(profile: PreferenceProfile) -> RandomizedMatching:
@@ -296,24 +280,10 @@ def rsd_exact(profile: PreferenceProfile) -> RandomizedMatching:
     which each pair forms.  A one-row `rsd_exact_rows` call: it counts the
     orders level by level over the states (agents yet to act, agents
     unmatched) in int64 and divides once by (n+m)!, so the result is
-    bitwise equal to enumerating every order."""
+    bitwise equal to enumerating every order.  Markets of more than
+    RSD_CAP agents raise EnumerationCapError."""
     return RandomizedMatching(
         rsd_exact_rows(profile_ranks([profile], profile.n, profile.m))[0])
-
-
-def rsd_monte_carlo(profile: PreferenceProfile, samples: int,
-                    rng: np.random.Generator) -> RandomizedMatching:
-    """Empirical RSD marginals over `samples` sampled priority orders.
-    Estimates are clipped into [0, 1] per entry and never renormalized."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    n, m = profile.n, profile.m
-    partners = _partner_lists(profile)
-    counts = np.zeros((n, m), dtype=np.float64)
-    for _ in range(samples):
-        for w, f in _serial_pass(partners, rng.permutation(n + m).tolist(), n):
-            counts[w, f] += 1.0
-    return RandomizedMatching(np.clip(counts / samples, 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -421,48 +391,34 @@ class MechanismKind(Enum):
 class LiftedMechanism:
     """Uniform profile -> RandomizedMatching interface over the baselines."""
 
-    def __init__(self, kind: MechanismKind, mc_samples: int = 200_000):
+    # the DA and exact-RSD kernels read each order's partners up to its cut
+    # only, so two reports with the same acceptable prefix give
+    # bitwise-equal marginals
+    reads_prefixes_only = True
+
+    def __init__(self, kind: MechanismKind):
         self.kind = kind
         self.label = kind.value
-        self.mc_samples = mc_samples
-
-    def reads_prefixes_only(self, profile: PreferenceProfile) -> bool:
-        """Whether `evaluate`'s outcome on this market depends on each
-        order's acceptable prefix alone, so that two reports with the same
-        prefix give bitwise-equal marginals.  True for DA and exact RSD,
-        whose kernels read each order's partners up to its cut.  False for
-        Monte-Carlo RSD: its sampler is seeded from `format_profile`, which
-        also spells out the order of unacceptable partners."""
-        return self.kind is not MechanismKind.RSD or profile.n + profile.m <= DEFAULT_RSD_CAP
 
     def evaluate(self, profile: PreferenceProfile) -> RandomizedMatching:
         if self.kind is MechanismKind.WDA:
             return da(profile, Proposing.WORKERS).to_marginals()
         if self.kind is MechanismKind.FDA:
             return da(profile, Proposing.FIRMS).to_marginals()
-        if self.reads_prefixes_only(profile):
-            return rsd_exact(profile)
-        # deterministic per profile: seed the sampler from the profile text
-        digest = hashlib.sha256(format_profile(profile).encode()).digest()
-        key = [int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:16], "little")]
-        rng = np.random.Generator(np.random.Philox(key=key))
-        return rsd_monte_carlo(profile, self.mc_samples, rng)
+        return rsd_exact(profile)
 
     def evaluate_many(self, profiles) -> list:
-        """`evaluate` of every profile: DA and exact RSD as one kernel call
-        per market shape, Monte-Carlo RSD one profile at a time."""
-        def batch(group, n, m):
-            if not self.reads_prefixes_only(group[0]):
-                return [self.evaluate(profile) for profile in group]
-            ranks = profile_ranks(group, n, m)
-            if self.kind is MechanismKind.RSD:
-                r = rsd_exact_rows(ranks)
-            else:
-                proposing = Proposing.WORKERS if self.kind is MechanismKind.WDA \
-                    else Proposing.FIRMS
-                r = da_marginals(ranks, proposing)
-            return [RandomizedMatching(x) for x in r]
-        return per_shape(profiles, batch)
+        """`evaluate` of profiles of one market shape, as one kernel call."""
+        if not profiles:
+            return []
+        ranks = profile_ranks(profiles, profiles[0].n, profiles[0].m)
+        if self.kind is MechanismKind.RSD:
+            r = rsd_exact_rows(ranks)
+        else:
+            proposing = Proposing.WORKERS if self.kind is MechanismKind.WDA \
+                else Proposing.FIRMS
+            r = da_marginals(ranks, proposing)
+        return [RandomizedMatching(x) for x in r]
 
 
 # ---------------------------------------------------------------------------

@@ -218,14 +218,14 @@ def _prefix_misreports(side: Side, size: int) -> tuple:
 
 def _evaluated_marginals(mech, profiles, indices):
     """`report_marginals` from `evaluate`, profile by profile, of n x m
-    profiles at `indices` of the caller's list.  Where `reads_prefixes_only`
-    holds (DA, exact RSD), a side's table holds one misreport per acceptable
-    prefix, the empty one included, and a profile's variants are one
-    `evaluate_many` call; otherwise it holds all (size+1)! misreports, one
-    `evaluate` each.  The truth's own prefix and every report of an agent
-    accepting nobody reuse the truth."""
+    profiles at `indices` of the caller's list.  Where the mechanism's
+    `reads_prefixes_only` holds (DA, RSD), a side's table holds one
+    misreport per acceptable prefix, the empty one included, and a
+    profile's variants are one `evaluate_many` call; otherwise it holds all
+    (size+1)! misreports, one `evaluate` each.  The truth's own prefix and
+    every report of an agent accepting nobody reuse the truth."""
     n, m = profiles[0].n, profiles[0].m
-    prefixes = getattr(mech, "reads_prefixes_only", lambda _: False)(profiles[0])
+    prefixes = getattr(mech, "reads_prefixes_only", False)
     table = _prefix_misreports if prefixes else enumerate_misreports
     tables = {Side.WORKER: table(Side.WORKER, m), Side.FIRM: table(Side.FIRM, n)}
     truths, variants = [], []

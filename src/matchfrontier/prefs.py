@@ -37,8 +37,9 @@ class AgentId:
     index: int
 
 
-class EnumerationOverflowError(Exception):
-    """Misreport enumeration would exceed the factorial cap."""
+class EnumerationCapError(ValueError):
+    """An enumeration refused: misreport orders or exact RSD's priority
+    orders would exceed their cap."""
 
 
 @dataclass(frozen=True)
@@ -173,21 +174,6 @@ def profile_ranks(profiles, n: int, m: int):
     return rank_w, cut_w, rank_f, cut_f
 
 
-def per_shape(profiles, batch) -> list:
-    """One result per profile, in order, from `batch(group, n, m)`, which
-    maps the profiles of one n x m market shape to their results."""
-    shapes = [(len(p.workers), len(p.firms)) for p in profiles]
-    distinct = set(shapes)
-    if len(distinct) == 1:
-        return batch(profiles, *shapes[0])
-    out = [None] * len(profiles)
-    for shape in sorted(distinct):
-        group = [i for i, s in enumerate(shapes) if s == shape]
-        for i, result in zip(group, batch([profiles[i] for i in group], *shape)):
-            out[i] = result
-    return out
-
-
 def encode_arrays(profiles, n: int, m: int):
     """Encodings P and Q, both (B, n, m), of n x m profiles, and the
     `profile_ranks` they come from."""
@@ -213,7 +199,7 @@ def enumerate_misreports(side: Side, size: int) -> list:
     deterministic lexicographic order (partners ascending, BOTTOM last in
     the base sequence)."""
     if size + 1 > ENUM_CAP:
-        raise EnumerationOverflowError(
+        raise EnumerationCapError(
             f"enumerating {math.factorial(size + 1)} orders exceeds cap {ENUM_CAP}!"
             f" (size+1={size + 1})")
     base = list(range(size)) + [BOTTOM]

@@ -11,7 +11,8 @@ import matchfrontier
 from matchfrontier import cli, metrics
 from matchfrontier.mechanisms import LiftedMechanism, MechanismKind, parse_matching
 from matchfrontier.net import NetworkDims, init_params, save_checkpoint
-from matchfrontier.prefs import encode, read_profiles
+from matchfrontier.prefs import (DistributionConfig, DistributionKind, encode,
+                                 read_profiles, sample_profiles, write_profiles)
 
 TINY_CFG = """\
 # smallest usable training setup
@@ -117,6 +118,28 @@ class TestSeedRange:
         assert "error: seed must lie in [0, 2**64)" in captured.err
         assert "iter" not in captured.out and not ckpt.exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_eval_rejects_seed(self, tmp_path, profile_file, seed, capsys):
+        out = tmp_path / "matchings.txt"
+        assert cli.main(["eval", "--mechanism", "rsd", "--profiles", profile_file,
+                         "--matchings-out", str(out), "--seed", seed]) == 1
+        assert "error: seed must lie in [0, 2**64)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_largest_seeds_sample_exactly(self, tmp_path):
+        # seeds of 2**63 and more key the matchings sampler exactly, so
+        # neighbouring seeds sample different matchings
+        path = tmp_path / "profiles.txt"
+        write_profiles(path, sample_profiles(DistributionConfig(
+            DistributionKind.UNCORRELATED, 3, 3, seed=7), 20))
+        texts = []
+        for seed in (2 ** 63 + 1, 2 ** 63 + 2):
+            out = tmp_path / f"{seed}.txt"
+            assert cli.main(["eval", "--mechanism", "rsd", "--profiles", str(path),
+                             "--matchings-out", str(out), "--seed", str(seed)]) == 0
+            texts.append(out.read_text())
+        assert texts[0] != texts[1]
+
     def test_config_and_env_seed_checked(self, tmp_path, tiny_cfg, monkeypatch):
         bad = tmp_path / "bad.cfg"
         bad.write_text(TINY_CFG.replace("seed = 3", "seed = -1"))
@@ -125,6 +148,29 @@ class TestSeedRange:
         monkeypatch.setenv("MATCH_SEED", "-1")
         assert cli.main(["train", "--config", tiny_cfg, "--checkpoint", str(ckpt)]) == 1
         assert not ckpt.exists()
+
+
+class TestEnumerationCap:
+    """An agent ranking 6 partners (a worker of a 3x6 market, a firm of a
+    6x2 one) has 7! = 5040 misreports, over the cap: every command that
+    enumerates them exits 1."""
+
+    @pytest.mark.parametrize("command", ["eval", "audit"])
+    def test_baseline_commands(self, tmp_path, command, capsys):
+        path = tmp_path / "wide.txt"
+        write_profiles(path, sample_profiles(DistributionConfig(
+            DistributionKind.UNCORRELATED, 3, 6, p_trunc=0.0, seed=5), 1))
+        assert cli.main([command, "--mechanism", "wda", "--profiles", str(path)]) == 1
+        assert "error: enumerating 5040 orders exceeds cap" in capsys.readouterr().err
+
+    def test_train_refuses_before_any_iteration(self, tmp_path, capsys):
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(TINY_CFG.replace("n = 2", "n = 6"))
+        ckpt = tmp_path / "run.ckpt"
+        assert cli.main(["train", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 1
+        captured = capsys.readouterr()
+        assert "error: enumerating 5040 orders exceeds cap" in captured.err
+        assert "iter" not in captured.out and not ckpt.exists()
 
 
 class TestProcess:

@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 
 from matchfrontier import mechanisms, oracle
-from matchfrontier.mechanisms import (DEFAULT_RSD_CAP, DeterministicMatching,
+from matchfrontier.mechanisms import (RSD_CAP, DeterministicMatching,
                                       EnumerationCapError,
                                       InvalidMatchingError, LiftedMechanism,
                                       MechanismKind,
                                       Proposing, RandomizedMatching,
                                       bvn_decompose, da,
                                       format_matching, parse_matching,
-                                      rsd_exact, rsd_monte_carlo,
-                                      serial_dictatorship_round)
+                                      rsd_exact, serial_dictatorship_round)
 from matchfrontier.prefs import (BOTTOM, DistributionConfig, DistributionKind,
                                  PreferenceOrder, PreferenceProfile, Side,
                                  parse_profile, profile_ranks, sample_profiles)
@@ -130,17 +129,32 @@ class TestBatchedKernels:
         r = mechanisms.rsd_exact_rows(profile_ranks(profiles, n, m))
         assert np.array_equal(r, [oracle.rsd_by_enumeration(p).r for p in profiles])
 
+    @pytest.mark.parametrize("n, m", [(4, 5), (5, 4)])
+    def test_rsd_rows_bitwise_equal_enumeration_past_eight_agents(self, n, m):
+        # 9! orders per profile for the oracle, about a second each
+        profiles = random_profiles(2, n=n, m=m, seed=94)
+        r = mechanisms.rsd_exact_rows(profile_ranks(profiles, n, m))
+        assert np.array_equal(r, [oracle.rsd_by_enumeration(p).r for p in profiles])
+
     def test_rsd_rows_cap(self):
+        # the largest market whose order counts are exact float64 integers
+        assert math.factorial(RSD_CAP) < 2 ** 53 <= math.factorial(RSD_CAP + 1)
+        n = (RSD_CAP + 1) // 2
+        m = RSD_CAP + 1 - n
         with pytest.raises(EnumerationCapError):
-            mechanisms.rsd_exact_rows(profile_ranks(random_profiles(2, n=4, m=5), 4, 5))
+            mechanisms.rsd_exact_rows(profile_ranks(random_profiles(2, n=n, m=m), n, m))
 
     @pytest.mark.parametrize("kind", list(MechanismKind))
     def test_evaluate_many_equals_evaluate(self, kind):
-        mech = LiftedMechanism(kind, mc_samples=100)
-        profiles = random_profiles(5, n=3, m=2, seed=91) + random_profiles(5, seed=92) \
-            + random_profiles(2, n=4, m=5, seed=93)  # over the cap: Monte-Carlo RSD
-        for r, profile in zip(mech.evaluate_many(profiles), profiles):
-            assert np.array_equal(r.r, mech.evaluate(profile).r)
+        # one market shape per call; a mixed batch is refused
+        mech = LiftedMechanism(kind)
+        shapes = {}
+        for seed, (n, m) in enumerate([(3, 2), (3, 3), (4, 5)], start=91):
+            shapes[n, m] = random_profiles(5, n=n, m=m, seed=seed)
+            for r, profile in zip(mech.evaluate_many(shapes[n, m]), shapes[n, m]):
+                assert np.array_equal(r.r, mech.evaluate(profile).r)
+        with pytest.raises(ValueError):
+            mech.evaluate_many(shapes[3, 2] + shapes[3, 3])
 
 
 class TestSerialDictatorship:
@@ -170,9 +184,18 @@ class TestRsd:
         assert np.allclose(rsd_exact(example1).r, rsd_expected, atol=1e-12)
 
     def test_exact_cap(self):
-        profile = random_profiles(1, n=5, m=5)[0]
+        profile = random_profiles(1, n=RSD_CAP // 2, m=RSD_CAP // 2 + 1)[0]
         with pytest.raises(EnumerationCapError):
             rsd_exact(profile)
+
+    def test_exact_identity_at_nine_by_nine(self):
+        # worker i and firm i accept only each other: whichever of them
+        # acts first takes the other, under every one of the 18! orders
+        size = 9
+        workers = tuple(PreferenceOrder((i, BOTTOM) + tuple(j for j in range(size) if j != i))
+                        for i in range(size))
+        profile = PreferenceProfile(workers, workers)
+        assert np.array_equal(rsd_exact(profile).r, np.eye(size))
 
     def test_exact_matches_naive_average(self):
         # independent oracle: average serial_dictatorship_round over all orders
@@ -221,16 +244,6 @@ class TestRsd:
         assert rows == [1]
         assert np.array_equal(r.r, oracle.rsd_by_enumeration(example1).r)
 
-    def test_monte_carlo_converges(self, example1, rsd_expected):
-        rng = np.random.Generator(np.random.Philox(key=[1, 2]))
-        est = rsd_monte_carlo(example1, 40_000, rng)
-        # 5 sigma of a binomial proportion at 40k samples is ~0.0125
-        assert np.max(np.abs(est.r - rsd_expected)) < 0.0125
-
-    def test_monte_carlo_rejects_zero_samples(self, example1):
-        with pytest.raises(ValueError):
-            rsd_monte_carlo(example1, 0, np.random.default_rng(0))
-
 
 class TestLiftedMechanisms:
     def test_labels(self):
@@ -243,11 +256,6 @@ class TestLiftedMechanisms:
     def test_rsd_exact_under_cap(self, example1, rsd_expected):
         r = LiftedMechanism(MechanismKind.RSD).evaluate(example1).r
         assert np.allclose(r, rsd_expected, atol=1e-12)
-
-    def test_rsd_monte_carlo_reproducible_over_cap(self):
-        profile = random_profiles(1, n=5, m=5, seed=6)[0]
-        mech = LiftedMechanism(MechanismKind.RSD, mc_samples=2_000)
-        assert np.array_equal(mech.evaluate(profile).r, mech.evaluate(profile).r)
 
 
 class TestRandomizedMatchingValidation:

@@ -7,7 +7,7 @@ from matchfrontier import metrics, net
 from matchfrontier.mechanisms import (LiftedMechanism, MechanismKind, Proposing,
                                       RandomizedMatching, da, rsd_exact)
 from matchfrontier.net import NetworkDims, NetworkMechanism, init_params
-from matchfrontier.prefs import (AgentId, DistributionConfig, DistributionKind,
+from matchfrontier.prefs import (DistributionConfig, DistributionKind,
                                  Side, encode, enumerate_misreports, parse_profile,
                                  rank_arrays, sample_profiles)
 
@@ -280,18 +280,6 @@ class TestPrefixRegret:
                     first = outcomes.setdefault(order.acceptable(), r)
                     assert np.array_equal(r, first)
 
-    def test_monte_carlo_rsd_reads_whole_orders(self):
-        # the sampler is seeded from the whole profile text, so reports
-        # with the same prefix can give different estimates
-        mech = LiftedMechanism(MechanismKind.RSD, mc_samples=50)
-        profile = random_profiles(1, n=4, m=5, seed=69)[0]
-        assert not mech.reads_prefixes_only(profile)
-        agent = AgentId(Side.FIRM, 0)
-        same_prefix = [o for o in enumerate_misreports(Side.FIRM, 4)
-                       if o.acceptable() == (0,)]
-        outcomes = [mech.evaluate(profile.with_order(agent, o)).r for o in same_prefix]
-        assert any(not np.array_equal(r, outcomes[0]) for r in outcomes[1:])
-
     @pytest.mark.parametrize("kind", EXACT_KINDS)
     def test_one_misreport_per_prefix(self, kind, example1):
         # 16 acceptable prefixes over 3 partners (the empty one included),
@@ -322,6 +310,14 @@ class TestPrefixRegret:
         assert all(p.workers[0] == profile.workers[0] for p in mech.seen)
         assert len(mech.seen) == 1 + 3 * per_agent
 
+    @pytest.mark.parametrize("kind", EXACT_KINDS)
+    def test_market_accepting_nobody_runs_no_variant(self, kind):
+        # every report reuses the truth, so the batched call gets no rows
+        profile = parse_profile("_,f1,f2;_,f2,f1|_,w1,w2;_,w2,w1")
+        mech = Recording(kind)
+        assert metrics.regret_gains(mech, profile).tolist() == [0.0] * 4
+        assert mech.seen == [profile]
+
     def test_reporting_nobody_still_matched_under_rsd(self):
         # w1 truly ranks f1 > f2 and gets f1 with 2/3 (w1 or f1 acts
         # first) and f2 with 1/3.  Reporting nobody, w1 is still taken by
@@ -344,14 +340,16 @@ class TestPrefixRegret:
         metrics.evaluate(LiftedMechanism(kind), [example1])
         assert calls == [1, 6 * 15]
 
-    def test_monte_carlo_rsd_enumerates_every_misreport(self, monkeypatch):
+    def test_rsd_past_eight_agents_batches_every_prefix(self, monkeypatch):
         profile = sample_profiles(DistributionConfig(
             DistributionKind.UNCORRELATED, 4, 5, p_trunc=0.0, seed=70), 1)[0]
         calls = count_evaluations(monkeypatch, LiftedMechanism)
-        metrics.evaluate(LiftedMechanism(MechanismKind.RSD, mc_samples=2), [profile])
-        # workers rank 5 firms (720 orders), firms rank 4 workers (120),
-        # each evaluated on its own
-        assert calls == [1] * (1 + 4 * 720 + 5 * 120)
+        report = metrics.evaluate(LiftedMechanism(MechanismKind.RSD), [profile])
+        # RSD is ordinally strategy-proof.  Workers rank 5 firms (326
+        # prefixes), firms rank 4 workers (65); each agent's variants are
+        # every prefix but its truth's, all in one batched call
+        assert report.rgt <= 1e-12
+        assert calls == [1, 4 * 325 + 5 * 64]
 
     def test_network_forwards_its_own_tables(self, example1, monkeypatch):
         # a network's variants come from its misreport tables, 18 reports

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from matchfrontier.net import NetworkDims, build_mask
 from matchfrontier.prefs import (BOTTOM, DistributionConfig, DistributionKind,
-                                 EnumerationOverflowError, PreferenceOrder,
+                                 EnumerationCapError, PreferenceOrder,
                                  PreferenceProfile, Side, encode,
                                  encode_order, enumerate_misreports,
                                  format_profile, parse_profile, profile_stream,
@@ -154,7 +154,7 @@ class TestMisreportEnumeration:
             o.validate(2)
 
     def test_cap_enforced(self):
-        with pytest.raises(EnumerationOverflowError):
+        with pytest.raises(EnumerationCapError):
             enumerate_misreports(Side.WORKER, 6)
 
     def test_deterministic_order(self):
