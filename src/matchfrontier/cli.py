@@ -17,15 +17,13 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import metrics, oracle
 from .autodiff import NumericError
 from .mechanisms import (LiftedMechanism, MechanismKind, bvn_decompose,
                          format_matching)
 from .net import (CheckpointError, NetworkDims, NetworkMechanism,
                   NumericOverflowError, load_checkpoint)
-from .prefs import (DistributionConfig, DistributionKind, read_profiles,
+from .prefs import (DistributionConfig, DistributionKind, philox, read_profiles,
                     sample_profiles, write_profiles)
 from .train import HELDOUT_LANE, TrainConfig, train
 
@@ -242,22 +240,19 @@ def cmd_eval(args) -> int:
     print(",".join(EVAL_HEADER))
     print(",".join(row))
     if args.out:
-        new_file = not os.path.exists(args.out)
+        new_file = not os.path.exists(args.out) or os.path.getsize(args.out) == 0
         with open(args.out, "a", newline="") as fh:
             writer = csv.writer(fh)
             if new_file:
                 writer.writerow(EVAL_HEADER)
             writer.writerow(row)
     if args.matchings_out:
-        # uint64: as a plain list, a seed of 2**63 or more passes through float64
-        key = np.array([seed, 0xB45E], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
+        rng = philox(seed, 0xB45E)
         with open(args.matchings_out, "w") as fh:
             for profile in profiles:
-                decomposition = bvn_decompose(mech.evaluate(profile))
-                weights = np.array([w for w, _ in decomposition.components])
-                pick = rng.choice(len(weights), p=weights / weights.sum())
-                fh.write(format_matching(decomposition.components[pick][1]) + "\n")
+                components = bvn_decompose(mech.evaluate(profile)).components
+                pick = rng.choice(len(components), p=[w for w, _ in components])
+                fh.write(format_matching(components[pick][1]) + "\n")
     return 0
 
 
@@ -342,8 +337,7 @@ def cmd_audit(args) -> int:
                 print(f"profile {idx}: {agent.side.value} {agent.index + 1} "
                       f"FOSD gain {gain:.6g}")
             worst = max(worst, gain)
-        decomposition = bvn_decompose(mech.evaluate(profile))
-        for weight, matching in decomposition.components:
+        for weight, matching in bvn_decompose(mech.evaluate(profile)).components:
             for bp in oracle.find_blocking_pairs(matching, profile):
                 print(f"profile {idx}: component weight {weight:.4g} "
                       f"{bp.kind.value} (w{bp.worker + 1}, f{bp.firm + 1})")

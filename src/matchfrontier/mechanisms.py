@@ -163,29 +163,6 @@ def da(profile: PreferenceProfile, proposing: Proposing = Proposing.WORKERS
     return DeterministicMatching(frozenset(map(tuple, np.argwhere(r).tolist())), n, m)
 
 
-def serial_dictatorship_round(profile: PreferenceProfile, priority
-                              ) -> DeterministicMatching:
-    """One serial-dictatorship pass: each agent, in priority order, takes its
-    most preferred remaining acceptable partner (final once made)."""
-    n, m = profile.n, profile.m
-    if sorted(priority) != list(range(n + m)):
-        raise ValueError("priority must be a permutation of all n+m agents")
-    # each agent's acceptable partners as agent ids, most preferred first
-    partners = ([[n + f for f in o.acceptable()] for o in profile.workers]
-                + [list(o.acceptable()) for o in profile.firms])
-    free = (1 << (n + m)) - 1  # bit a set while agent a is unmatched
-    pairs = []
-    for agent in map(int, priority):
-        if not free >> agent & 1:
-            continue
-        for b in partners[agent]:
-            if free >> b & 1:
-                free &= ~(1 << agent | 1 << b)
-                pairs.append((agent, b - n) if agent < n else (b, agent - n))
-                break
-    return DeterministicMatching(frozenset(pairs), n, m)
-
-
 def rsd_exact_rows(ranks) -> np.ndarray:
     """Exact RSD marginals (R, n, m) of R rows at once, from the
     `profile_ranks` of R n x m profiles: the share of the (n+m)! priority
@@ -291,85 +268,46 @@ class BvnDecomposition:
     components: tuple  # of (weight, DeterministicMatching)
 
     def reconstruct(self) -> np.ndarray:
-        n = self.components[0][1].n
-        m = self.components[0][1].m
-        acc = np.zeros((n, m))
-        for weight, matching in self.components:
-            acc += weight * matching.to_marginals().r
-        return acc
+        return sum(weight * matching.to_marginals().r for weight, matching in self.components)
 
 
 def bvn_decompose(rm: RandomizedMatching) -> BvnDecomposition:
     """Decompose a weakly doubly stochastic marginal matrix into a convex
     combination of deterministic matchings.
 
-    Classical Birkhoff extraction with per-agent slack: every worker is
-    covered either by a positive pair or by its unmatched margin (and
-    likewise for firms), so each step admits a perfect cover of the real
-    agents on the positive support.  The residual after all pairs are
-    exhausted becomes one empty-matching component.
+    Classical Birkhoff extraction on the residual's doubly stochastic
+    extension [[r, diag gw], [diag gf, r^T]]: rows are the workers, then
+    the firms' unmatched slots; columns the firms, then the workers'
+    unmatched slots; the r^T block carries no mass (inf).  Each step takes
+    a perfect matching of its support by augmenting paths, at the least
+    mass among the used pairs and slots, which zeroes one of the
+    nm + n + m entries.  What is left when the pairs run out becomes one
+    empty-matching component.
     """
-    import networkx as nx  # slow to import; only decompositions need it
-
     rm.validate()
     n, m = rm.n, rm.m
-    r = np.clip(rm.r.copy(), 0.0, 1.0)
+    support_tol = 1e-12
     gw = np.clip(1.0 - rm.r.sum(axis=1), 0.0, 1.0)  # unmatched margins
     gf = np.clip(1.0 - rm.r.sum(axis=0), 0.0, 1.0)
+    mass = np.block([[np.clip(rm.r, 0.0, 1.0), np.diag(gw)],
+                     [np.diag(gf), np.full((m, n), np.inf)]])
+    r = mass[:n, :m]  # a view
 
-    support_tol = 1e-12
     components = []
     total = 0.0
     while np.any(r > support_tol):
-        # Edge weight = number of real agents the edge covers, so a
-        # max-weight matching covers every worker and firm (a full
-        # fractional cover exists, hence an integral one).
-        graph = nx.Graph()
-        graph.add_nodes_from([("w", w) for w in range(n)] + [("bw", w) for w in range(n)])
-        graph.add_nodes_from([("f", f) for f in range(m)] + [("bf", f) for f in range(m)])
-        for w in range(n):
-            for f in range(m):
-                if r[w, f] > support_tol:
-                    graph.add_edge(("w", w), ("f", f), weight=2)
-        for w in range(n):
-            if gw[w] > support_tol or r[w].sum() <= support_tol:
-                graph.add_edge(("w", w), ("bw", w), weight=1)
-        for f in range(m):
-            if gf[f] > support_tol or r[:, f].sum() <= support_tol:
-                graph.add_edge(("bf", f), ("f", f), weight=1)
-        matching = dict(nx.max_weight_matching(graph))
-        matching.update({v: k for k, v in matching.items()})
-
-        pairs = []
-        slack_w, slack_f = [], []
-        for w in range(n):
-            mate = matching.get(("w", w))
-            if mate is None:
-                raise InvalidMatchingError("no perfect cover on positive support")
-            if mate[0] == "f":
-                pairs.append((w, mate[1]))
-            else:
-                slack_w.append(w)
-        for f in range(m):
-            mate = matching.get(("f", f))
-            if mate is None:
-                raise InvalidMatchingError("no perfect cover on positive support")
-            if mate[0] == "bf":
-                slack_f.append(f)
-
-        used = [r[w, f] for w, f in pairs]
-        used += [gw[w] for w in slack_w] + [gf[f] for f in slack_f]
-        delta = min(used)
+        live = mass > support_tol
+        # an agent with no pair left may stand on its exhausted slot
+        live[:n, m:] |= np.diag(~live[:n, :m].any(axis=1))
+        live[n:, :m] |= np.diag(~live[:n, :m].any(axis=0))
+        rows = _perfect_matching([[c for c, on in enumerate(row) if on] for row in live.tolist()])
+        used = (rows, np.arange(n + m))
+        delta = mass[used].min()  # finite: each firm column holds a pair or a slot
         if delta <= 0.0:
             raise InvalidMatchingError("degenerate extraction step")
-        for w, f in pairs:
-            r[w, f] -= delta
-            if r[w, f] < support_tol:
-                r[w, f] = 0.0
-        for w in slack_w:
-            gw[w] = max(gw[w] - delta, 0.0)
-        for f in slack_f:
-            gf[f] = max(gf[f] - delta, 0.0)
+        mass[used] = np.maximum(mass[used] - delta, 0.0)
+        r[r < support_tol] = 0.0
+        pairs = [(rows[f], f) for f in range(m) if rows[f] < n]
         components.append((delta, DeterministicMatching(frozenset(pairs), n, m)))
         total += delta
 
@@ -380,6 +318,27 @@ def bvn_decompose(rm: RandomizedMatching) -> BvnDecomposition:
         weight, matching = components[-1]
         components[-1] = (weight + (1.0 - total), matching)
     return BvnDecomposition(tuple(components))
+
+
+def _perfect_matching(adj) -> list:
+    """Kuhn's augmenting paths: rows[c] is the row matched to column c in
+    a perfect matching of the square bipartite graph whose row u links to
+    the columns adj[u].  The recursion is at most len(adj) deep."""
+    rows = [-1] * len(adj)
+
+    def augment(u, seen):
+        for c in adj[u]:
+            if c not in seen:
+                seen.add(c)
+                if rows[c] < 0 or augment(rows[c], seen):
+                    rows[c] = u
+                    return True
+        return False
+
+    for u in range(len(adj)):
+        if not augment(u, set()):
+            raise InvalidMatchingError("no perfect cover on positive support")
+    return rows
 
 
 class MechanismKind(Enum):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .prefs import (PreferenceProfile, Side, encode, encode_arrays, encode_ranks,
-                    enumerate_misreports, rank_arrays)
+                    enumerate_misreports, philox, rank_arrays, require_at_least)
 from .mechanisms import RandomizedMatching
 
 LEAKY_SLOPE = 0.01
@@ -43,8 +43,7 @@ class NetworkDims:
     J: int  # units per hidden layer
 
     def __post_init__(self):
-        if self.R < 1 or self.J < 1:
-            raise ValueError("need at least one hidden layer and one unit")
+        require_at_least(self, 1, "n", "m", "R", "J")
 
     @property
     def input_width(self) -> int:
@@ -66,8 +65,7 @@ def layer_shapes(dims: NetworkDims) -> list:
 def init_params(dims: NetworkDims, seed: int, zero: bool = False) -> list:
     """Fan-in-scaled uniform weights, zero biases.  `zero` gives all-zero
     parameters (useful for the analytic forward cases)."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0x6E6574], dtype=np.uint64)  # as in profile_stream
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng = philox(seed, 0x6E6574)
     params = []
     for (w_shape, b_shape) in layer_shapes(dims):
         if zero:

@@ -26,15 +26,18 @@ class Side(Enum):
     WORKER = "worker"
     FIRM = "firm"
 
-    @property
-    def opposite(self) -> "Side":
-        return Side.FIRM if self is Side.WORKER else Side.WORKER
-
 
 @dataclass(frozen=True)
 class AgentId:
     side: Side
     index: int
+
+
+def require_at_least(config, least: int, *fields) -> None:
+    """Raise a ValueError naming the first of `config`'s fields below `least`."""
+    for field in fields:
+        if getattr(config, field) < least:
+            raise ValueError(f"{field} must be at least {least}, got {getattr(config, field)}")
 
 
 class EnumerationCapError(ValueError):
@@ -221,10 +224,18 @@ class DistributionConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_at_least(self, 1, "n", "m")
         if self.kind is DistributionKind.UNCORRELATED and self.p_corr != 0.0:
             raise ValueError("p_corr must be 0 for uncorrelated preferences")
         if not (0.0 <= self.p_corr <= 1.0 and 0.0 <= self.p_trunc <= 1.0):
             raise ValueError("p_corr and p_trunc must lie in [0, 1]")
+
+
+def philox(seed: int, word: int) -> np.random.Generator:
+    """A Philox generator keyed on the two u64 words (seed, word)."""
+    # uint64: as a plain list, a seed of 2**63 or more passes through float64
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, word], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def profile_stream(seed: int, index: int, lane: int = 0) -> np.random.Generator:
@@ -233,10 +244,7 @@ def profile_stream(seed: int, index: int, lane: int = 0) -> np.random.Generator:
     Philox keyed on (seed, lane:index) so profiles can be generated in any
     order, or in parallel, with bitwise-reproducible results.
     """
-    # uint64: as a plain list, a seed of 2**63 or more passes through float64
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF,
-                    ((lane & 0xFFFF) << 48) | (index & 0xFFFFFFFFFFFF)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return philox(seed, ((lane & 0xFFFF) << 48) | (index & 0xFFFFFFFFFFFF))
 
 
 def sample_order(size: int, p_trunc: float, rng: np.random.Generator) -> PreferenceOrder:
@@ -266,11 +274,9 @@ def sample_profile(cfg: DistributionConfig, rng: np.random.Generator) -> Prefere
     return PreferenceProfile(tuple(workers), tuple(firms))
 
 
-def sample_profiles(cfg: DistributionConfig, count: int, lane: int = 0,
-                    start: int = 0) -> list:
-    """`count` profiles on independent streams start..start+count-1."""
-    return [sample_profile(cfg, profile_stream(cfg.seed, start + i, lane))
-            for i in range(count)]
+def sample_profiles(cfg: DistributionConfig, count: int, lane: int = 0) -> list:
+    """`count` profiles on independent streams 0..count-1."""
+    return [sample_profile(cfg, profile_stream(cfg.seed, i, lane)) for i in range(count)]
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from .autodiff import NumericError, OptimizerState, Tape, adam_step, backward, l
 from .metrics import fosd_search, side_weights, threshold_sets
 from .net import (NetworkDims, NetworkMechanism, NumericOverflowError, _forward_chunked,
                   _variant_inputs, init_params, misreport_tables)
-from .prefs import (DistributionConfig, encode_arrays, profile_stream, sample_profile,
-                    sample_profiles)
+from .prefs import (DistributionConfig, encode_arrays, profile_stream, require_at_least,
+                    sample_profile, sample_profiles)
 
 TRAIN_LANE = 1
 HELDOUT_LANE = 2
@@ -46,6 +46,9 @@ class TrainConfig:
     def __post_init__(self):
         if not (0.0 <= self.lam <= 1.0):
             raise ValueError("lambda must lie in [0, 1]")
+        # 0 is valid: no iterations, the last one the only eval point, no held-out set
+        require_at_least(self, 0, "iterations", "eval_every", "test_size")
+        require_at_least(self, 1, "batch_size")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import matchfrontier
-from matchfrontier import cli, metrics
+from matchfrontier import cli, metrics, prefs
 from matchfrontier.mechanisms import LiftedMechanism, MechanismKind, parse_matching
 from matchfrontier.net import NetworkDims, init_params, save_checkpoint
 from matchfrontier.prefs import (DistributionConfig, DistributionKind, encode,
@@ -140,6 +140,23 @@ class TestSeedRange:
             texts.append(out.read_text())
         assert texts[0] != texts[1]
 
+    @pytest.mark.parametrize("seed", [1, 2 ** 63 + 1])
+    def test_eval_sampler_key(self, tmp_path, profile_file, seed, monkeypatch):
+        # the --matchings-out sampler is Philox keyed on (seed, 0xB45E) as u64
+        keys = []
+
+        def recorded(*args):
+            rng = prefs.philox(*args)
+            keys.append(rng.bit_generator.state["state"]["key"])
+            return rng
+
+        monkeypatch.setattr(cli, "philox", recorded)
+        assert cli.main(["eval", "--mechanism", "rsd", "--profiles", profile_file,
+                         "--matchings-out", str(tmp_path / "m.txt"),
+                         "--seed", str(seed)]) == 0
+        assert len(keys) == 1 and keys[0].dtype == np.uint64
+        assert np.array_equal(keys[0], np.array([seed, 0xB45E], dtype=np.uint64))
+
     def test_config_and_env_seed_checked(self, tmp_path, tiny_cfg, monkeypatch):
         bad = tmp_path / "bad.cfg"
         bad.write_text(TINY_CFG.replace("seed = 3", "seed = -1"))
@@ -184,13 +201,18 @@ class TestProcess:
         assert lines[-1].startswith("rsd,,") and lines[-1].endswith(",3")
         assert cli.build_parser() is cli.build_parser()
 
-    def test_import_leaves_networkx_out(self):
+    def test_import_leaves_networkx_out(self, profile_file):
+        # no module of the package uses networkx, decompositions included
         src = os.path.dirname(os.path.dirname(matchfrontier.__file__))
-        code = "import sys, matchfrontier; print('networkx' in sys.modules)"
+        code = ("import sys, matchfrontier; from matchfrontier import cli; "
+                "print('networkx' in sys.modules); "
+                f"code = cli.main(['decompose', '--mechanism', 'rsd', '--profiles', {profile_file!r}]); "
+                "print(code, 'networkx' in sys.modules)")
         env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "False"
+        lines = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                               capture_output=True, text=True).stdout.splitlines()
+        assert lines[0] == "False" and lines[-1] == "0 False"
+        assert len(lines) == 2 + len(read_profiles(profile_file))
 
 
 class TestGen:
@@ -211,6 +233,20 @@ class TestEval:
         assert rows[0] == cli.EVAL_HEADER
         assert rows[1][0] == "wda" and rows[1][1] == ""
         assert int(rows[1][8]) == 6
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_out_header_in_missing_or_empty_file(self, tmp_path, profile_file, existing):
+        # the header goes into a file that is missing or empty, once
+        out = tmp_path / "rows.csv"
+        if existing:
+            out.write_text("")
+        for _ in range(2):
+            assert cli.main(["eval", "--mechanism", "wda", "--profiles", profile_file,
+                             "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == cli.EVAL_HEADER
+        assert [row[0] for row in rows[1:]] == ["wda", "wda"]
 
     def test_requires_some_mechanism(self, profile_file):
         assert cli.main(["eval", "--profiles", profile_file]) == 1
@@ -261,6 +297,48 @@ class TestEval:
         assert cli.main(["eval", "--checkpoint", str(ckpt),
                         "--profiles", profile_file]) == 1
         assert "error: truncated checkpoint" in capsys.readouterr().err
+
+
+class TestSettingsRange:
+    """Settings that cannot run make `train` exit 1, naming the field,
+    before any profile is sampled; 0 stays valid where it means
+    something (no iterations, the last eval point only, no held-out set)."""
+
+    @pytest.fixture(autouse=True)
+    def no_sampling(self, monkeypatch):
+        def sampled(*args):
+            raise AssertionError("a profile was sampled")
+        monkeypatch.setattr(prefs, "sample_order", sampled)
+
+    @pytest.mark.parametrize("old, new", [
+        ("iterations = 8", "iterations = -3"), ("eval_every = 4", "eval_every = -1"),
+        ("test_size = 8", "test_size = -5"), ("batch_size = 4", "batch_size = 0"),
+        ("n = 2", "n = 0"), ("m = 2", "m = 0"),
+    ])
+    def test_train_rejects(self, tmp_path, old, new, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CFG.replace(old, new))
+        ckpt, log = tmp_path / "run.ckpt", tmp_path / "run.log"
+        assert cli.main(["train", "--config", str(cfg), "--checkpoint", str(ckpt),
+                         "--log", str(log)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {new.split()[0]} must be at least" in captured.err
+        assert "iter" not in captured.out and "checkpoint" not in captured.out
+        assert not ckpt.exists() and not log.exists()
+
+    def test_train_rejects_negative_iterations_flag(self, tmp_path, capsys):
+        ckpt = tmp_path / "neg.ckpt"
+        assert cli.main(["train", "--preset", "desk", "--iterations", "-3",
+                         "--checkpoint", str(ckpt)]) == 1
+        assert "error: iterations must be at least 0, got -3" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    def test_gen_rejects_empty_side(self, tmp_path, capsys):
+        cfg, out = tmp_path / "empty.cfg", tmp_path / "p.txt"
+        cfg.write_text("m = 0\n")
+        assert cli.main(["gen", "--config", str(cfg), "--count", "2", "--out", str(out)]) == 1
+        assert "error: m must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrainCommand:

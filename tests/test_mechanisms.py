@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -12,7 +11,8 @@ from matchfrontier.mechanisms import (RSD_CAP, DeterministicMatching,
                                       Proposing, RandomizedMatching,
                                       bvn_decompose, da,
                                       format_matching, parse_matching,
-                                      rsd_exact, serial_dictatorship_round)
+                                      rsd_exact)
+from matchfrontier.net import NetworkDims, NetworkMechanism, init_params
 from matchfrontier.prefs import (BOTTOM, DistributionConfig, DistributionKind,
                                  PreferenceOrder, PreferenceProfile, Side,
                                  parse_profile, profile_ranks, sample_profiles)
@@ -158,25 +158,15 @@ class TestBatchedKernels:
 
 
 class TestSerialDictatorship:
-    def test_priority_respected(self, example1):
-        # f1 (agent 3) first: takes w1; then w1 is gone for everyone else
-        mu = serial_dictatorship_round(example1, [3, 0, 1, 2, 4, 5])
-        assert mu.firm_partner(0) == 0
-
-    def test_bad_priority_rejected(self, example1):
-        with pytest.raises(ValueError):
-            serial_dictatorship_round(example1, [0, 1, 2])
-
     def test_picker_side_acceptable(self):
         # dictators only ever pick acceptable partners, but the picked side
-        # gets no say, which is exactly why RSD violates IR
+        # gets no say, which is exactly why RSD violates IR: exact RSD puts
+        # mass only on pairs acceptable to at least one side
         for profile in random_profiles(50, seed=3):
-            for _ in range(3):
-                priority = list(np.random.default_rng(7).permutation(6))
-                mu = serial_dictatorship_round(profile, [int(x) for x in priority])
-                for w, f in mu.pairs:
-                    assert (profile.workers[w].is_acceptable(f)
-                            or profile.firms[f].is_acceptable(w))
+            r = rsd_exact(profile).r
+            for w, f in zip(*np.nonzero(r)):
+                assert (profile.workers[w].is_acceptable(f)
+                        or profile.firms[f].is_acceptable(w))
 
 
 class TestRsd:
@@ -196,14 +186,6 @@ class TestRsd:
                         for i in range(size))
         profile = PreferenceProfile(workers, workers)
         assert np.array_equal(rsd_exact(profile).r, np.eye(size))
-
-    def test_exact_matches_naive_average(self):
-        # independent oracle: average serial_dictatorship_round over all orders
-        for profile in random_profiles(3, n=2, m=2, seed=1):
-            acc = np.zeros((2, 2))
-            for priority in itertools.permutations(range(4)):
-                acc += serial_dictatorship_round(profile, list(priority)).to_marginals().r
-            assert np.allclose(rsd_exact(profile).r, acc / math.factorial(4), atol=1e-12)
 
     def test_exact_example_bitwise(self, example1, rsd_expected):
         assert np.array_equal(rsd_exact(example1).r, rsd_expected)
@@ -286,7 +268,52 @@ def random_weakly_doubly_stochastic(n, m, rng):
     return RandomizedMatching(r)
 
 
+def checked_decomposition(rm):
+    """`bvn_decompose(rm)`, after checking every property a decomposition
+    keeps: it reconstructs rm, has at most nm + n + m + 1 components of
+    positive weight summing to 1, puts mass only where rm does, and is
+    the same on a second call."""
+    dec = bvn_decompose(rm)
+    n, m = rm.n, rm.m
+    assert np.max(np.abs(dec.reconstruct() - rm.r)) <= 1e-12
+    assert len(dec.components) <= n * m + n + m + 1
+    weights = np.array([w for w, _ in dec.components])
+    assert (weights > 0).all() and abs(weights.sum() - 1.0) <= 1e-12
+    for _, mu in dec.components:
+        assert mu.n == n and mu.m == m
+        assert all(rm.r[w, f] > 0 for w, f in mu.pairs)
+    assert bvn_decompose(rm) == dec
+    return dec
+
+
 class TestBvnDecomposition:
+    def test_sampled_matrices(self):
+        rng = np.random.default_rng(14)
+        for _ in range(2000):
+            n, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            checked_decomposition(random_weakly_doubly_stochastic(n, m, rng))
+
+    @pytest.mark.parametrize("n, m, count", [(3, 3, 20), (4, 4, 10), (2, 5, 20),
+                                             (4, 5, 4), (5, 5, 3)])
+    def test_mechanism_outputs(self, n, m, count):
+        dims = NetworkDims(n, m, R=2, J=16)
+        net_mech = NetworkMechanism(init_params(dims, seed=n * m), dims)
+        for profile in random_profiles(count, n=n, m=m, seed=140 + n * m):
+            checked_decomposition(rsd_exact(profile))
+            checked_decomposition(net_mech.evaluate(profile))
+
+    def test_at_rsd_cap(self):
+        # worker i and firm i accept only each other, so RSD matches them
+        size = RSD_CAP // 2
+        workers = tuple(PreferenceOrder((i, BOTTOM) + tuple(j for j in range(size) if j != i))
+                        for i in range(size))
+        dec = checked_decomposition(rsd_exact(PreferenceProfile(workers, workers)))
+        assert dec.components == ((1.0, DeterministicMatching(
+            frozenset((i, i) for i in range(size)), size, size)),)
+        rng = np.random.default_rng(18)
+        for _ in range(20):
+            checked_decomposition(random_weakly_doubly_stochastic(size, size, rng))
+
     def test_reconstructs_rsd(self, example1, rsd_expected):
         dec = bvn_decompose(rsd_exact(example1))
         assert np.allclose(dec.reconstruct(), rsd_expected, atol=1e-12)
@@ -307,6 +334,19 @@ class TestBvnDecomposition:
             assert len(dec.components) <= n * m + n + m + 1
             for _, mu in dec.components:
                 assert mu.n == n and mu.m == m  # validity enforced in ctor
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_exhausted_slot_covers_empty_row(self, transpose):
+        # after two steps worker 1 still holds 1.5e-12 at firm 0, while
+        # worker 0's row is empty (its 1e-12 at firm 2 is never extracted)
+        # and its unmatched margin of 5e-13 covers it in the last step; the
+        # transpose is the same case for firm 0's column
+        r = np.array([[0.5, 0.5 - 1.5e-12, 1e-12], [0.5, 0.5, 0.0]])
+        rm = RandomizedMatching(r.T.copy() if transpose else r)
+        dec = bvn_decompose(rm)
+        assert len(dec.components) == 3
+        assert np.max(np.abs(dec.reconstruct() - rm.r)) <= 1e-9
+        assert sum(w for w, _ in dec.components) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_matrix(self):
         dec = bvn_decompose(RandomizedMatching(np.zeros((2, 3))))

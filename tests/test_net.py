@@ -65,6 +65,16 @@ class TestInit:
         for (wa, ba), (wb, bb) in zip(a, b):
             assert np.array_equal(wa, wb) and np.array_equal(ba, bb)
 
+    @pytest.mark.parametrize("seed", [0, 2 ** 63 + 1, 2 ** 64 - 1])
+    def test_philox_key_bitwise(self, seed):
+        # Philox keyed on (seed, 0x6E6574) as u64, drawn layer by layer
+        dims = NetworkDims(3, 3, R=2, J=8)
+        key = np.array([seed, 0x6E6574], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        for (w, _), (w_shape, _) in zip(init_params(dims, seed), layer_shapes(dims)):
+            bound = np.sqrt(1.0 / w_shape[1])
+            assert np.array_equal(w, rng.uniform(-bound, bound, size=w_shape))
+
     def test_fan_in_bound(self):
         dims = NetworkDims(3, 3, R=2, J=8)
         for (w, b), (w_shape, _) in zip(init_params(dims, 0), layer_shapes(dims)):

@@ -167,6 +167,13 @@ class TestSampling:
         b = sample_order(4, 0.5, profile_stream(3, 17, lane=1))
         assert a == b
 
+    @pytest.mark.parametrize("seed", [0, 2 ** 63 + 1, 2 ** 64 - 1])
+    def test_stream_key(self, seed):
+        # Philox keyed on (seed, lane << 48 | index) as u64
+        key = profile_stream(seed, 17, lane=2).bit_generator.state["state"]["key"]
+        assert key.dtype == np.uint64
+        assert np.array_equal(key, np.array([seed, 2 << 48 | 17], dtype=np.uint64))
+
     def test_lanes_independent(self):
         cfg = DistributionConfig(DistributionKind.UNCORRELATED, 4, 4, seed=9)
         assert sample_profiles(cfg, 8, lane=1) != sample_profiles(cfg, 8, lane=2)
