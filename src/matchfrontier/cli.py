@@ -24,7 +24,7 @@ from .mechanisms import (LiftedMechanism, MechanismKind, bvn_decompose,
 from .net import (CheckpointError, NetworkDims, NetworkMechanism,
                   NumericOverflowError, load_checkpoint)
 from .prefs import (DistributionConfig, DistributionKind, philox, read_profiles,
-                    sample_profiles, write_profiles)
+                    require_at_least, sample_profiles, write_profiles)
 from .train import HELDOUT_LANE, TrainConfig, train
 
 EVAL_HEADER = ["label", "lambda", "stv", "rgt", "irv", "welfare", "sim",
@@ -189,6 +189,7 @@ def eval_row(label, lam, report) -> list:
 # Subcommands
 
 def cmd_gen(args) -> int:
+    require_at_least(args, 1, "count")
     settings = resolve_settings(args)
     dist = dist_from_settings(settings)
     profiles = sample_profiles(dist, args.count)
@@ -277,6 +278,10 @@ def cmd_sweep(args) -> int:
     lambdas = [float(x) for x in args.lambdas.split(",") if x.strip() != ""]
     if any(not 0.0 <= lam <= 1.0 for lam in lambdas):
         raise ConfigError("every lambda must lie in [0, 1]")
+    if settings["test_size"] < 1:
+        # every point is evaluated on the shared held-out set: fail before training
+        raise ConfigError(f"sweep needs test_size of at least 1 for its held-out set, "
+                          f"got {settings['test_size']}")
     os.makedirs(args.out_dir, exist_ok=True)
 
     for lam in lambdas:

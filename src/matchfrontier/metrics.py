@@ -15,9 +15,10 @@ from .prefs import (EncodedProfile, PreferenceProfile, Side, encode_arrays,
 from .mechanisms import Proposing, RandomizedMatching, da, da_marginals
 
 # profiles per block of the evaluation pass.  It bounds the memory of the
-# misreport variants (a network's 3x3 block is 13,824 variant rows, seven
-# forward chunks); BLAS results depend on the row count, so another block
-# size changes a network's evaluated numbers in the last place.
+# misreport variants (a network's 3x3 block is 13,824 variant rows, 14
+# forward parts).  A block's truth forward has one row per profile, and BLAS
+# gives other bits for at most 50 rows, so another block size can change a
+# network's evaluated numbers in the last place.
 _EVAL_BLOCK = 128
 
 

@@ -9,8 +9,11 @@ and combined with an elementwise min.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +24,12 @@ from .mechanisms import RandomizedMatching
 
 LEAKY_SLOPE = 0.01
 
-# rows per forward call: a chunk's activations stay in cache (1 MB at J=64).
-# The outputs do not depend on it while every chunk exceeds BLAS's small-matrix
-# path (OpenBLAS 0.3.31: over 50 rows at J=64, over 30 at J=256).
-_FORWARD_CHUNK = 2048
+# forward_batch splits its rows into ceil(rows / _FORWARD_PART) near-equal
+# parts, each at least half this size, so a part's activations stay in cache
+# (0.5 MB per layer at J=64).  The outputs do not depend on the split while every part
+# exceeds BLAS's small-matrix path (OpenBLAS 0.3.31: over 50 rows at J=64,
+# over 30 at J=256), whose sums run in another order.
+_FORWARD_PART = 1024
 
 
 class NumericOverflowError(ArithmeticError):
@@ -95,7 +100,66 @@ def build_mask(profile: PreferenceProfile) -> np.ndarray:
 def forward_batch(params, dims: NetworkDims, x: np.ndarray, beta: np.ndarray
                   ) -> np.ndarray:
     """Batched forward pass: x is (B, 2nm), beta is (B, n+1, m+1); returns
-    marginal matrices (B, n, m)."""
+    marginal matrices (B, n, m).  Each output row depends on its input row
+    alone, so the caller runs its share of the parts and the `_helpers`
+    threads the rest; an overflow raises from the first part that has one."""
+    rows = x.shape[0]
+    if rows <= _FORWARD_PART:
+        return _forward_rows(params, dims, x, beta)
+    parts = -(-rows // _FORWARD_PART)
+    bounds = [rows * i // parts for i in range(parts + 1)]
+    slices = list(zip(bounds[:-1], bounds[1:]))
+    pool, threads = _helpers() or (None, 0)
+    own = parts // min(parts, threads + 1)  # the caller's share, rounded down
+    futures = [pool.submit(_forward_rows, params, dims, x[a:b], beta[a:b])
+               for a, b in slices[own:]]
+    try:
+        out = [_forward_rows(params, dims, x[a:b], beta[a:b]) for a, b in slices[:own]]
+    finally:
+        # no part outlives the call, even when the caller's own share raised
+        wait(futures)
+    return np.concatenate(out + [future.result() for future in futures])
+
+
+@functools.cache
+def _helpers():
+    """(pool, threads): the threads that run forward_batch's parts beside
+    the caller, one per further CPU the process may use, made at the first
+    split.  None, and every part runs on the caller, on one CPU or where
+    numpy's OpenBLAS cannot be pinned to one thread: its own threads spin
+    for work and fight the helpers for the CPUs (unpinned, the desk search
+    forward was no faster split than whole)."""
+    threads = len(os.sched_getaffinity(0)) - 1 if hasattr(os, "sched_getaffinity") else 0
+    if threads < 1 or not _pin_blas_to_one_thread():
+        return None
+    return ThreadPoolExecutor(threads, thread_name_prefix="forward"), threads
+
+
+# a forked child inherits the cached pool but none of its threads, and would
+# wait forever on its first split: it makes its own
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_helpers.cache_clear)
+
+
+def _pin_blas_to_one_thread() -> bool:
+    """Sets the OpenBLAS that numpy loaded to one thread, for the whole
+    process; False where neither known setter is found."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return False
+    for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            return True
+    return False
+
+
+def _forward_rows(params, dims: NetworkDims, x: np.ndarray, beta: np.ndarray
+                  ) -> np.ndarray:
+    """forward_batch's kernel on one part of its rows."""
     n, m = dims.n, dims.m
     # two ping-pong buffers (matmul cannot write into its operand), one for ReLU
     bufs = [np.empty((x.shape[0], dims.J)) for _ in range(3)]
@@ -128,7 +192,7 @@ def forward_batch(params, dims: NetworkDims, x: np.ndarray, beta: np.ndarray
 
 def _first_nonfinite_layer(params, x: np.ndarray) -> int:
     """Index of the first layer whose activation is not finite: the cold
-    path of forward_batch's single check on the output."""
+    path of _forward_rows's single check on the output."""
     h = x
     for layer, (weight, bias) in enumerate(params[:-1]):
         h = h @ weight.T + bias
@@ -136,12 +200,6 @@ def _first_nonfinite_layer(params, x: np.ndarray) -> int:
             return layer
         h = np.maximum(h, LEAKY_SLOPE * h)
     return len(params) - 1
-
-
-def _forward_chunked(params, dims, X, beta):
-    return np.concatenate([forward_batch(params, dims, X[s:s + _FORWARD_CHUNK],
-                                         beta[s:s + _FORWARD_CHUNK])
-                           for s in range(0, X.shape[0], _FORWARD_CHUNK)])
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +278,9 @@ class NetworkMechanism:
                              f"{P.shape[1]}x{P.shape[2]} profiles")
         B = P.shape[0]
         X = np.concatenate([P.reshape(B, -1), Q.reshape(B, -1)], axis=1)
-        r = _forward_chunked(self.params, self.dims, X, acceptability_mask(P, Q))
+        r = forward_batch(self.params, self.dims, X, acceptability_mask(P, Q))
         Xv, Bv, sizes = _variant_inputs(X, self.dims, misreport_tables(self.dims))
-        r_var = _forward_chunked(self.params, self.dims, Xv, Bv).reshape(B, -1, n, m)
+        r_var = forward_batch(self.params, self.dims, Xv, Bv).reshape(B, -1, n, m)
         return r, r_var, sizes
 
 

@@ -18,8 +18,8 @@ import numpy as np
 from . import autodiff, metrics, net
 from .autodiff import NumericError, OptimizerState, Tape, adam_step, backward, lr_schedule
 from .metrics import fosd_search, side_weights, threshold_sets
-from .net import (NetworkDims, NetworkMechanism, NumericOverflowError, _forward_chunked,
-                  _variant_inputs, init_params, misreport_tables)
+from .net import (NetworkDims, NetworkMechanism, NumericOverflowError, _variant_inputs,
+                  init_params, misreport_tables)
 from .prefs import (DistributionConfig, encode_arrays, profile_stream, require_at_least,
                     sample_profile, sample_profiles)
 
@@ -77,8 +77,8 @@ def _search_defeating(params, dims: NetworkDims, batch: _Batch, variants, r_trut
     `variants` is the batch's _variant_inputs; `r_truth` holds the
     caller's marginals (B, n, m) of the batch's truthful inputs."""
     Xv, Bv, (Kw, Kf) = variants
-    r_var = _forward_chunked(params, dims, Xv, Bv).reshape(len(batch.profiles), -1,
-                                                           dims.n, dims.m)
+    r_var = net.forward_batch(params, dims, Xv, Bv).reshape(len(batch.profiles), -1,
+                                                            dims.n, dims.m)
     return fosd_search(r_truth, r_var, batch.ind, batch.thr_valid, dims.n, dims.m, Kw, Kf)
 
 
@@ -141,7 +141,7 @@ def _loss_from_batch(params, dims: NetworkDims, batch: _Batch, lam: float,
     tape = Tape()
     param_nodes = [(tape.leaf(w), tape.leaf(bias)) for w, bias in params]
     # the one truth forward: the search reads the tape's values, which equal
-    # forward_batch's bitwise for batches of up to _FORWARD_CHUNK rows
+    # forward_batch's bitwise for batches of up to net._FORWARD_PART rows
     r_t = _forward_tape(tape, param_nodes, dims, batch.X, batch.beta)
     variants = _variant_inputs(batch.X, dims, tables)
     if selection is None:

@@ -340,6 +340,21 @@ class TestSettingsRange:
         assert "error: m must be at least 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_gen_rejects_count_below_one(self, tmp_path, capsys):
+        out = tmp_path / "neg.txt"
+        assert cli.main(["gen", "--preset", "desk", "--count", "-3", "--out", str(out)]) == 1
+        assert "error: count must be at least 1, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_rejects_empty_heldout_set(self, tmp_path, capsys):
+        # every point is evaluated on the held-out set, so none is trained
+        cfg, out_dir = tmp_path / "bad.cfg", tmp_path / "sweep"
+        cfg.write_text(TINY_CFG.replace("test_size = 8", "test_size = 0"))
+        assert cli.main(["sweep", "--config", str(cfg), "--lambdas", "0,1",
+                         "--out-dir", str(out_dir)]) == 1
+        assert "error: sweep needs test_size of at least 1" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestTrainCommand:
     def test_writes_checkpoint_and_log(self, tmp_path, tiny_cfg):

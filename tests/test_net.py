@@ -1,13 +1,19 @@
+import ctypes
+import multiprocessing
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from matchfrontier import metrics
+from matchfrontier import metrics, net
 from matchfrontier.net import (LEAKY_SLOPE, CheckpointError, NetworkDims,
                                NetworkMechanism, NumericOverflowError,
-                               build_mask, forward_batch, init_params,
-                               layer_shapes, load_checkpoint, save_checkpoint)
+                               _variant_inputs, build_mask,
+                               forward_batch, init_params, layer_shapes,
+                               load_checkpoint, misreport_tables, save_checkpoint)
 from matchfrontier.prefs import (DistributionConfig, DistributionKind, encode,
-                                 parse_profile, sample_profiles)
+                                 encode_arrays, parse_profile, sample_profiles)
 
 
 def random_profiles(count, n=4, m=4, seed=0):
@@ -183,6 +189,96 @@ class TestForward:
         forward_batch(init_params(dims, seed=4), dims, x, beta)
         assert x.tobytes() == x_copy.tobytes()
         assert beta.tobytes() == beta_copy.tobytes()
+
+
+@pytest.fixture(params=["helpers", "serial"])
+def split(request, monkeypatch):
+    """forward_batch's parts on two helper threads beside the caller (more
+    than this machine may have), or all on the caller."""
+    if request.param == "serial":
+        monkeypatch.setattr(net, "_helpers", lambda: None)
+    else:
+        pool = ThreadPoolExecutor(2)
+        request.addfinalizer(pool.shutdown)
+        monkeypatch.setattr(net, "_helpers", lambda: (pool, 2))
+
+
+class TestForwardSplit:
+    def test_paper_variant_rows_equal_one_call(self, split):
+        # two 4x4 profiles' 768 variants each: 1,536 rows, two parts at J=256
+        dims = NetworkDims(4, 4, R=4, J=256)
+        dist = DistributionConfig(DistributionKind.CORRELATED, 4, 4, p_corr=0.25,
+                                  p_trunc=0.2, seed=3)
+        P, Q, _ = encode_arrays(sample_profiles(dist, 2), 4, 4)
+        X = np.concatenate([P.reshape(2, -1), Q.reshape(2, -1)], axis=1)
+        Xv, Bv, _ = _variant_inputs(X, dims, misreport_tables(dims))
+        assert Xv.shape[0] == 1_536
+        params = init_params(dims, seed=5)
+        expected = net._forward_rows(params, dims, Xv, Bv)
+        assert forward_batch(params, dims, Xv, Bv).tobytes() == expected.tobytes()
+
+    # all-ones weights on 2x2 inputs of ones give activations 8, 32, 128 and
+    # 512 by layer; one row of 1e307 overflows at layer 1, of 1e306 at the
+    # output layer 3
+    @pytest.mark.parametrize("value,layer", [(1e307, 1), (1e306, 3)])
+    def test_overflow_in_last_part_raises_in_caller(self, split, value, layer):
+        dims = NetworkDims(2, 2, R=3, J=4)
+        params = [(np.ones(w), np.zeros(b)) for w, b in layer_shapes(dims)]
+        x = np.ones((3 * 1024, 8))
+        x[-1] = value
+        with pytest.raises(NumericOverflowError) as info:
+            forward_batch(params, dims, x, np.ones((x.shape[0], 3, 3)))
+        assert info.value.layer == layer
+
+    def test_helpers_run_with_blas_on_one_thread(self):
+        # OpenBLAS's own threads would spin against the helpers for the CPUs
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("one CPU: the parts run serially")
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        getter = getattr(lib, "scipy_openblas_get_num_threads64_", None) \
+            or getattr(lib, "openblas_get_num_threads", None)
+        if getter is None:
+            pytest.skip("numpy's BLAS is not an OpenBLAS with a known thread getter")
+        assert net._helpers()[1] == len(os.sched_getaffinity(0)) - 1
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        assert getter() == 1
+
+    def test_forked_child_splits(self):
+        # a child forked after the first split has none of the pool's threads
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork on this platform")
+        dims = NetworkDims(2, 2, R=1, J=4)
+        params = init_params(dims, seed=1)
+        x, beta = np.ones((2048, 8)), np.ones((2048, 3, 3))
+        forward_batch(params, dims, x, beta)
+        child = multiprocessing.get_context("fork").Process(
+            target=forward_batch, args=(params, dims, x, beta))
+        child.start()
+        child.join(timeout=60)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+        assert not hung and child.exitcode == 0
+
+    def test_parts_never_small(self, split, monkeypatch):
+        # every part of a split stays above BLAS's small-matrix path (at
+        # most 50 rows), whose bits differ; 2,052 rows once left a 4-row tail
+        sizes = []
+
+        def rows(params, dims, x, beta):
+            sizes.append(x.shape[0])
+            return np.zeros((x.shape[0], dims.n, dims.m))
+
+        monkeypatch.setattr(net, "_forward_rows", rows)
+        dims = NetworkDims(2, 2, R=1, J=4)
+        for total in (1, 50, 1024, 1025, 1075, 2048, 2049, 2052, 3073, 13_824):
+            sizes.clear()
+            out = forward_batch(None, dims, np.zeros((total, 8)), np.zeros((total, 3, 3)))
+            assert out.shape == (total, 2, 2)
+            assert sum(sizes) == total
+            assert len(sizes) == -(-total // 1024)
+            if total > 1024:
+                assert min(sizes) > 50 and max(sizes) - min(sizes) <= 1
 
 
 def profile_inputs(profiles):

@@ -18,8 +18,8 @@ from matchfrontier.prefs import (AgentId, DistributionConfig,
                                  enumerate_misreports, parse_profile,
                                  rank_arrays, sample_profiles)
 from matchfrontier.train import (HELDOUT_LANE, TrainConfig, _Batch, _defeat_inputs,
-                                 _forward_chunked, _search_defeating, _variant_inputs,
-                                 loss_minibatch, misreport_tables, train)
+                                 _search_defeating, _variant_inputs, loss_minibatch,
+                                 misreport_tables, train)
 
 from conftest import reference_build_mask, reference_encode
 
@@ -173,7 +173,7 @@ class TestDefeatInputs:
         batch = _Batch(profiles, dims)
         tables = misreport_tables(dims)
         params = init_params(dims, seed=3)
-        r_truth = _forward_chunked(params, dims, batch.X, batch.beta)
+        r_truth = net.forward_batch(params, dims, batch.X, batch.beta)
         variants = _variant_inputs(batch.X, dims, tables)
         searched = _search_defeating(params, dims, batch, variants, r_truth)[:2]
         # a random selection also reaches misreports the search never picks
@@ -193,7 +193,7 @@ class TestDefeatInputs:
 def search(params, dims, profiles):
     """_search_defeating's (best_k, best_gain) on a batch of profiles."""
     batch = _Batch(profiles, dims)
-    r_truth = _forward_chunked(params, dims, batch.X, batch.beta)
+    r_truth = net.forward_batch(params, dims, batch.X, batch.beta)
     variants = _variant_inputs(batch.X, dims, misreport_tables(dims))
     best_k, _, best_gain = _search_defeating(params, dims, batch, variants, r_truth)
     return best_k, best_gain
@@ -262,7 +262,7 @@ class TestPrunedTables:
         table_w, table_f = tables = full_tables(dims)
         Xv, Bv, (Kw, Kf) = _variant_inputs(batch.X, dims, tables)
         assert (Kw, Kf) == (len(table_w.orders), len(table_f.orders))
-        r = _forward_chunked(init_params(dims, seed=2), dims, Xv, Bv)
+        r = net.forward_batch(init_params(dims, seed=2), dims, Xv, Bv)
         r = r.reshape(B, n * Kw + m * Kf, n, m)
         empty_w = np.setdiff1d(np.arange(Kw), kept(table_w))
         empty_f = np.setdiff1d(np.arange(Kf), kept(table_f))
@@ -280,7 +280,7 @@ class TestPrunedTables:
         dist = DistributionConfig(kind, n, m, p_corr=p_corr, p_trunc=0.5, seed=19)
         batch = _Batch(sample_profiles(dist, 16), dims)
         params = [(3.0 * w, b) for w, b in init_params(dims, seed=n + m)]
-        r_truth = _forward_chunked(params, dims, batch.X, batch.beta)
+        r_truth = net.forward_batch(params, dims, batch.X, batch.beta)
         full = full_tables(dims)
         full_k, full_th, full_gain = _search_defeating(
             params, dims, batch, _variant_inputs(batch.X, dims, full), r_truth)
@@ -296,17 +296,21 @@ class TestPrunedTables:
 
 
 class TestForwardChunks:
-    def test_desk_search_rows_equal_one_call(self):
-        # BLAS's small-matrix path gives other bits for calls of at most 50
-        # rows at J=64, so chunking is exact only while every chunk is larger
+    def test_desk_search_rows_equal_one_call(self, monkeypatch):
+        # forward_batch runs these rows as 14 parts, with this machine's
+        # helper threads and then all on the caller; BLAS's small-matrix path
+        # gives other bits for calls of at most 50 rows at J=64, so the split
+        # is exact only while every part is larger
         config = traincache.desk_config(0.5, 1)
         dims = config.dims
         batch = _Batch(sample_profiles(config.dist, config.batch_size, lane=1), dims)
         Xv, Bv, _ = _variant_inputs(batch.X, dims, misreport_tables(dims))
         assert Xv.shape[0] == 13_824
         params = init_params(dims, seed=1)
-        chunked = _forward_chunked(params, dims, Xv, Bv)
-        assert chunked.tobytes() == net.forward_batch(params, dims, Xv, Bv).tobytes()
+        whole = net._forward_rows(params, dims, Xv, Bv).tobytes()
+        assert net.forward_batch(params, dims, Xv, Bv).tobytes() == whole
+        monkeypatch.setattr(net, "_helpers", lambda: None)
+        assert net.forward_batch(params, dims, Xv, Bv).tobytes() == whole
 
 
 class TestTruthForward:
@@ -346,7 +350,7 @@ class TestTruthForward:
         profiles = sample_profiles(small_dist(3, 3, seed=4), 16)
         batch = _Batch(profiles, dims)
         tables = misreport_tables(dims)
-        r_plain = _forward_chunked(params, dims, batch.X, batch.beta)
+        r_plain = net.forward_batch(params, dims, batch.X, batch.beta)
         pinned = _search_defeating(params, dims, batch, _variant_inputs(batch.X, dims, tables),
                                    r_plain)[:2]
         build = loss_minibatch(params, dims, profiles, 0.4)
