@@ -2,12 +2,11 @@
 Adam-style optimizer with decoupled weight decay and the step-wise
 learning-rate schedule.
 
-The op set is exactly what the matching network and its losses need:
-matmul, broadcast add/sub/mul/div, leaky ReLU, softplus, relu, elementwise
-min, sum reductions, reshape/slice, and scalar combinations.  Subgradient
-conventions at kinks are fixed: leaky ReLU uses the negative-side slope at
-0, elementwise min routes ties to its first argument, and relu has slope 0
-at 0.
+The op set is exactly what the matching network's loss needs: broadcast
+add/sub/mul/div, relu, sum and mean reductions, reshape, and scalar
+combinations.  The network's marginals enter a tape as one node whose
+backprop is `net.forward_vjp`, which holds the network's own kink
+conventions.  relu has slope 0 at its kink.
 """
 from __future__ import annotations
 
@@ -60,7 +59,7 @@ class Node:
         self.tape = tape
         self.value = value
         self.parents = parents
-        self.backprop = backprop  # grad -> tuple of parent grads
+        self.backprop = backprop  # grad -> the parents' grads, in order
         self.grad = None
         tape.nodes.append(self)
 
@@ -90,9 +89,6 @@ class Node:
     def __rsub__(self, other):
         return self._lift(other).__sub__(self)
 
-    def __neg__(self):
-        return Node(self.tape, -self.value, (self,), lambda g: (-g,))
-
     def __mul__(self, other):
         other = self._lift(other)
         return Node(self.tape, self.value * other.value, (self, other),
@@ -108,46 +104,14 @@ class Node:
                                _unbroadcast(-g * self.value / (other.value ** 2),
                                             other.shape)))
 
-    def __rtruediv__(self, other):
-        return self._lift(other).__truediv__(self)
-
-    def matmul(self, other):
-        other = self._lift(other)
-        return Node(self.tape, self.value @ other.value, (self, other),
-                    lambda g: (g @ other.value.swapaxes(-1, -2),
-                               self.value.swapaxes(-1, -2) @ g))
-
-    __matmul__ = matmul
-
     # -- nonlinearities -----------------------------------------------------
-
-    def leaky_relu(self, slope: float):
-        factor = np.where(self.value > 0.0, 1.0, slope)
-        return Node(self.tape, np.where(self.value > 0.0, self.value, slope * self.value),
-                    (self,), lambda g: (g * factor,))
-
-    def softplus(self):
-        x = self.value
-        sig = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                       np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        return Node(self.tape, np.logaddexp(0.0, x), (self,), lambda g: (g * sig,))
 
     def relu(self):
         mask = self.value > 0.0
         return Node(self.tape, np.where(mask, self.value, 0.0), (self,),
                     lambda g: (g * mask,))
 
-    def minimum(self, other):
-        other = self._lift(other)
-        take_self = self.value <= other.value  # ties go to the first branch
-        return Node(self.tape, np.minimum(self.value, other.value), (self, other),
-                    lambda g: (_unbroadcast(g * take_self, self.shape),
-                               _unbroadcast(g * ~take_self, other.shape)))
-
     # -- shape / reduction --------------------------------------------------
-
-    def transpose(self):
-        return Node(self.tape, self.value.T, (self,), lambda g: (g.T,))
 
     def sum(self, axis=None, keepdims=False):
         def backprop(g):
@@ -165,13 +129,6 @@ class Node:
     def reshape(self, *shape):
         return Node(self.tape, self.value.reshape(*shape), (self,),
                     lambda g: (g.reshape(self.shape),))
-
-    def __getitem__(self, key):
-        def backprop(g):
-            out = np.zeros(self.shape)
-            out[key] = g
-            return (out,)
-        return Node(self.tape, self.value[key], (self,), backprop)
 
 
 def backward(tape: Tape, output: Node) -> None:

@@ -4,7 +4,8 @@ individually rational marginal matrix out.
 The forward pass is a pure function of explicit parameters.  Scores are
 softplus-squashed, masked by the acceptability matrix, normalized
 column-wise on the (n+1) x m tensor and row-wise on the n x (m+1) tensor,
-and combined with an elementwise min.
+and combined with an elementwise min.  `forward_vjp` differentiates it
+from what the forward kernel saved, for the training loss.
 """
 from __future__ import annotations
 
@@ -157,19 +158,25 @@ def _pin_blas_to_one_thread() -> bool:
     return False
 
 
-def _forward_rows(params, dims: NetworkDims, x: np.ndarray, beta: np.ndarray
-                  ) -> np.ndarray:
-    """forward_batch's kernel on one part of its rows."""
+def _forward_rows(params, dims: NetworkDims, x: np.ndarray, beta: np.ndarray,
+                  saved=None) -> np.ndarray:
+    """forward_batch's kernel on one part of its rows.  A `saved` list is
+    filled with what forward_vjp reads: every layer's input, the output
+    scores before softplus, the masked scores and their two sums."""
     n, m = dims.n, dims.m
-    # two ping-pong buffers (matmul cannot write into its operand), one for ReLU
-    bufs = [np.empty((x.shape[0], dims.J)) for _ in range(3)]
+    # matmul cannot write into its operand: two ping-pong buffers, or one per
+    # hidden layer when every layer's input is saved; one more for ReLU
+    count = 2 if saved is None else len(params) - 1
+    bufs = [np.empty((x.shape[0], dims.J)) for _ in range(count + 1)]
     h = x
     for layer, (weight, bias) in enumerate(params[:-1]):
-        h = np.matmul(h, weight.T, out=bufs[layer % 2])
+        if saved is not None:
+            saved.append(h)
+        h = np.matmul(h, weight.T, out=bufs[layer % count])
         h += bias
         # leaky ReLU; bitwise equal to where(h > 0, h, slope * h), signed
         # zeros and NaN included
-        np.maximum(h, np.multiply(h, LEAKY_SLOPE, out=bufs[2]), out=h)
+        np.maximum(h, np.multiply(h, LEAKY_SLOPE, out=bufs[-1]), out=h)
     weight, bias = params[-1]
     out = h @ weight.T
     out += bias
@@ -179,15 +186,51 @@ def _forward_rows(params, dims: NetworkDims, x: np.ndarray, beta: np.ndarray
         raise NumericOverflowError(_first_nonfinite_layer(params, x))
 
     split = (n + 1) * m
-    # softplus in place, overflow-safe: ln(1 + e^x) = max(x, 0) + ln(1 + e^-|x|)
-    np.logaddexp(0.0, out, out=out)
-    shat = out[:, :split].reshape(-1, n + 1, m)
-    shat2 = out[:, split:].reshape(-1, n, m + 1)
+    # softplus, overflow-safe: ln(1 + e^x) = max(x, 0) + ln(1 + e^-|x|);
+    # in place unless the scores are saved
+    s = np.logaddexp(0.0, out, out=out if saved is None else None)
+    shat = s[:, :split].reshape(-1, n + 1, m)
+    shat2 = s[:, split:].reshape(-1, n, m + 1)
     shat *= beta[:, :, :m]
     shat2 *= beta[:, :n, :]
-    shat /= shat.sum(axis=1, keepdims=True)
-    shat2 /= shat2.sum(axis=2, keepdims=True)
+    sums, sums2 = shat.sum(axis=1, keepdims=True), shat2.sum(axis=2, keepdims=True)
+    if saved is not None:
+        saved += [h, out, s.copy(), sums, sums2]
+    shat /= sums
+    shat2 /= sums2
     return np.minimum(shat[:, :n, :], shat2[:, :, :m])
+
+
+def forward_vjp(params, dims: NetworkDims, beta: np.ndarray, saved, g: np.ndarray) -> list:
+    """Per layer, the (weight, bias) gradients of sum(g * r), where r is the
+    _forward_rows output (B, n, m) that filled `saved`.  At the kinks the
+    min routes a tie to the column-normalized score and leaky ReLU takes
+    its negative-side slope at 0."""
+    n, m = dims.n, dims.m
+    *inputs, scores, masked, sums, sums2 = saved
+    split = (n + 1) * m
+    sbar = masked[:, :split].reshape(-1, n + 1, m)
+    sbar2 = masked[:, split:].reshape(-1, n, m + 1)
+    take = sbar[:, :n, :] / sums <= sbar2[:, :, :m] / sums2
+    g_hat = np.zeros(sbar.shape)
+    g_hat[:, :n, :] = g * take
+    g_hat2 = np.zeros(sbar2.shape)
+    g_hat2[:, :, :m] = g * ~take
+    # through each normalization, the mask and softplus, whose slope is the
+    # logistic function, evaluated without overflow
+    e = np.exp(-np.abs(scores))
+    slope = np.where(scores >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    g_sbar = g_hat / sums + (-g_hat * sbar / sums ** 2).sum(axis=1, keepdims=True)
+    g_sbar2 = g_hat2 / sums2 + (-g_hat2 * sbar2 / sums2 ** 2).sum(axis=2, keepdims=True)
+    g_out = np.concatenate([(g_sbar * beta[:, :, :m]).reshape(len(g), -1),
+                            (g_sbar2 * beta[:, :n, :]).reshape(len(g), -1)], axis=1) * slope
+    grads = []
+    for layer in range(len(params) - 1, -1, -1):
+        h = inputs[layer]
+        grads.append(((h.T @ g_out).T, g_out.sum(axis=0)))
+        if layer:
+            g_out = (g_out @ params[layer][0]) * np.where(h > 0.0, 1.0, LEAKY_SLOPE)
+    return grads[::-1]
 
 
 def _first_nonfinite_layer(params, x: np.ndarray) -> int:

@@ -87,22 +87,18 @@ def _search_defeating(params, dims: NetworkDims, batch: _Batch, variants, r_trut
 
 def _forward_tape(tape: Tape, param_nodes, dims: NetworkDims, x: np.ndarray,
                   beta: np.ndarray):
-    """Tape twin of net.forward_batch: identical operation order, so the
-    forward values match the plain evaluation bitwise."""
-    n, m = dims.n, dims.m
-    h = tape.constant(x)
-    for weight, bias in param_nodes[:-1]:
-        h = (h @ weight.transpose() + bias).leaky_relu(net.LEAKY_SLOPE)
-    weight, bias = param_nodes[-1]
-    out = h @ weight.transpose() + bias
-    split = (n + 1) * m
-    s = out[:, :split].reshape(-1, n + 1, m)
-    s2 = out[:, split:].reshape(-1, n, m + 1)
-    sbar = tape.constant(beta[:, :, :m]) * s.softplus()
-    sbar2 = tape.constant(beta[:, :n, :]) * s2.softplus()
-    shat = sbar / sbar.sum(axis=1, keepdims=True)
-    shat2 = sbar2 / sbar2.sum(axis=2, keepdims=True)
-    return shat[:, :n, :].minimum(shat2[:, :, :m])
+    """The network's marginals as one tape node: net's own kernel forward,
+    whose parents are the parameter leaves and whose backprop is
+    net.forward_vjp."""
+    params = [(weight.value, bias.value) for weight, bias in param_nodes]
+    saved = []
+    r = net._forward_rows(params, dims, x, beta, saved)
+
+    def backprop(g):
+        grads = net.forward_vjp(params, dims, beta, saved, g)
+        return [grad for group in grads for grad in group]
+
+    return autodiff.Node(tape, r, [leaf for group in param_nodes for leaf in group], backprop)
 
 
 def _defeat_inputs(batch: _Batch, dims: NetworkDims, variants, best_k, best_th):
@@ -140,8 +136,8 @@ def _loss_from_batch(params, dims: NetworkDims, batch: _Batch, lam: float,
 
     tape = Tape()
     param_nodes = [(tape.leaf(w), tape.leaf(bias)) for w, bias in params]
-    # the one truth forward: the search reads the tape's values, which equal
-    # forward_batch's bitwise for batches of up to net._FORWARD_PART rows
+    # the one truth forward: the search reads the tape node's values, which
+    # are _forward_rows' own, so forward_batch's for up to net._FORWARD_PART rows
     r_t = _forward_tape(tape, param_nodes, dims, batch.X, batch.beta)
     variants = _variant_inputs(batch.X, dims, tables)
     if selection is None:
@@ -205,7 +201,8 @@ def train(config: TrainConfig, progress=None) -> TrainResult:
     """Run the SGD loop: fresh minibatch every iteration, defeating-report
     search at current parameters, Adam step with the halving schedule.
     Every eval_every-th iteration and the last one are eval points: each
-    evaluates the held-out set, logs a row and checkpoints (a run of zero
+    evaluates the held-out set, logs a row whose loss is the mean over the
+    iterations since the previous row, and checkpoints (a run of zero
     iterations checkpoints its initial parameters).  A numeric failure
     aborts with the last good checkpoint on disk."""
     dims, dist = config.dims, config.dist
@@ -256,7 +253,8 @@ def train(config: TrainConfig, progress=None) -> TrainResult:
         if done == config.iterations or (config.eval_every and done % config.eval_every == 0):
             if heldout is not None:
                 stv, rgt = _heldout_stv_rgt(params, dims, heldout)
-            mean_loss = float(np.mean(loss_window[-max(1, config.eval_every):]))
+            mean_loss = float(np.mean(loss_window))
+            loss_window = []
             log.append((done, mean_loss, stv, rgt, state.lr))
             write_log()
             checkpoint()

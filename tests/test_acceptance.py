@@ -17,12 +17,14 @@ from matchfrontier.mechanisms import (MechanismKind, RandomizedMatching,
                                       LiftedMechanism, bvn_decompose, da,
                                       rsd_exact, Proposing)
 from matchfrontier.net import (NetworkDims, NetworkMechanism, build_mask,
-                               forward_batch, init_params, load_checkpoint)
+                               forward_batch, init_params, load_checkpoint,
+                               misreport_tables)
 from matchfrontier.prefs import (BOTTOM, AgentId, DistributionConfig,
                                  DistributionKind, PreferenceOrder, Side,
                                  encode, encode_arrays, encode_order,
                                  sample_profiles)
-from matchfrontier.train import HELDOUT_LANE, _heldout_stv_rgt, loss_minibatch
+from matchfrontier.train import (HELDOUT_LANE, _Batch, _heldout_stv_rgt, _loss_from_batch,
+                                 loss_minibatch)
 from matchfrontier.autodiff import backward
 
 from conftest import EXAMPLE1_TEXT, RSD_EXPECTED
@@ -240,12 +242,15 @@ class TestAcceptance:
             build = loss_minibatch(params, dims, profiles, lam)
             backward(build.tape, build.loss)
             grads = [tuple(p.grad for p in group) for group in build.param_nodes]
+            # the draw's batch and misreport tables, built once for its
+            # thousands of loss evaluations
+            batch, tables = _Batch(profiles, dims), misreport_tables(dims)
 
             def loss_at(bumped):
                 # pin the defeating-report selection: the loss differentiates
                 # through the marginals only, never through the argmax
-                return float(loss_minibatch(bumped, dims, profiles, lam,
-                                            selection=build.selection).loss.value)
+                return float(_loss_from_batch(bumped, dims, batch, lam, tables,
+                                              selection=build.selection).loss.value)
 
             for li, group in enumerate(params):
                 for pj, arr in enumerate(group):

@@ -191,6 +191,125 @@ class TestForward:
         assert beta.tobytes() == beta_copy.tobytes()
 
 
+def objective_grads(params, dims, x, beta, g, h=1e-6):
+    """Central differences of sum(g * forward_batch) in every parameter."""
+    grads = []
+    for group in params:
+        pair = []
+        for arr in group:
+            fd = np.zeros_like(arr)
+            flat, fd_flat = arr.reshape(-1), fd.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                sides = []
+                for bumped in (orig + h, orig - h):
+                    flat[i] = bumped
+                    sides.append(float((g * forward_batch(params, dims, x, beta)).sum()))
+                flat[i] = orig
+                fd_flat[i] = (sides[0] - sides[1]) / (2 * h)
+            pair.append(fd)
+        grads.append(tuple(pair))
+    return grads
+
+
+def kink_margins(params, dims, x, beta):
+    """The smallest |pre-activation| of any hidden unit, and the smallest gap
+    between the two normalized scores of an acceptable pair."""
+    n, m = dims.n, dims.m
+    h, closest = x, np.inf
+    for weight, bias in params[:-1]:
+        z = h @ weight.T + bias
+        closest = min(closest, float(np.abs(z).min()))
+        h = np.where(z > 0.0, z, LEAKY_SLOPE * z)
+    out = np.logaddexp(0.0, h @ params[-1][0].T + params[-1][1])
+    split = (n + 1) * m
+    sbar = beta[:, :, :m] * out[:, :split].reshape(-1, n + 1, m)
+    sbar2 = beta[:, :n, :] * out[:, split:].reshape(-1, n, m + 1)
+    gap = (sbar / sbar.sum(axis=1, keepdims=True))[:, :n, :] \
+        - (sbar2 / sbar2.sum(axis=2, keepdims=True))[:, :, :m]
+    return closest, float(np.abs(gap[beta[:, :n, :m] > 0.0]).min())
+
+
+def vjp_grads(params, dims, x, beta, g):
+    saved = []
+    net._forward_rows(params, dims, x, beta, saved)
+    return net.forward_vjp(params, dims, beta, saved, g)
+
+
+class TestForwardVJP:
+    @pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (3, 3), (4, 4)])
+    def test_matches_finite_differences(self, n, m):
+        dims = NetworkDims(n, m, R=2, J=8)
+        rng = np.random.default_rng(n * 10 + m)
+        params = [(3.0 * w, rng.normal(scale=0.1, size=b.shape))
+                  for w, b in init_params(dims, seed=n + m)]
+        x, beta = profile_inputs(random_profiles(5, n=n, m=m, seed=n * m))
+        g = rng.normal(size=(5, n, m))
+        # no leaky-ReLU or min kink within reach of the differences' steps
+        assert min(kink_margins(params, dims, x, beta)) > 1e-4
+        got = vjp_grads(params, dims, x, beta, g)
+        for got_group, fd_group in zip(got, objective_grads(params, dims, x, beta, g)):
+            for arr, fd in zip(got_group, fd_group):
+                assert arr.shape == fd.shape
+                assert np.allclose(arr, fd, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("n,m,R,J,rows", [(3, 3, 4, 64, 128), (4, 4, 2, 16, 9),
+                                              (2, 5, 1, 8, 3)])
+    def test_saving_leaves_output_unchanged(self, n, m, R, J, rows):
+        dims = NetworkDims(n, m, R=R, J=J)
+        params = [(3.0 * w, b + 0.1) for w, b in init_params(dims, seed=rows)]
+        x, beta = profile_inputs(random_profiles(rows, n=n, m=m, seed=R))
+        saved = []
+        r = net._forward_rows(params, dims, x, beta, saved).tobytes()
+        assert len(saved) == R + 5
+        assert r == net._forward_rows(params, dims, x, beta).tobytes()
+        assert r == forward_batch(params, dims, x, beta).tobytes()
+
+    def test_leaky_relu_kink_takes_slope(self):
+        # zero first-layer parameters put every hidden pre-activation at 0
+        dims = NetworkDims(2, 2, R=1, J=4)
+        rng = np.random.default_rng(5)
+        params = [(np.zeros((4, 8)), np.zeros(4)),
+                  (rng.normal(size=(12, 4)), rng.normal(size=12))]
+        x, beta = profile_inputs(random_profiles(1, n=2, m=2, seed=3))
+        grads = vjp_grads(params, dims, x, beta, rng.normal(size=(1, 2, 2)))
+        g_scores = grads[1][1]  # one row: the output bias's gradient is the scores'
+        expected = LEAKY_SLOPE * (g_scores @ params[1][0])
+        assert np.any(expected != 0.0)
+        assert np.allclose(grads[0][1], expected, rtol=1e-12, atol=0.0)
+        assert np.allclose(grads[0][0], np.outer(expected, x[0]), rtol=1e-12, atol=0.0)
+
+    def test_min_tie_goes_to_column_normalized_score(self):
+        # zero parameters and a square all-acceptable market: both
+        # normalizations give exactly 1/(n+1) everywhere
+        dims = NetworkDims(3, 3, R=2, J=4)
+        params = init_params(dims, 0, zero=True)
+        x, beta = np.zeros((2, 18)), np.ones((2, 4, 4))
+        saved = []
+        assert np.all(net._forward_rows(params, dims, x, beta, saved) == 0.25)
+        g = np.random.default_rng(6).normal(size=(2, 3, 3))
+        g_scores = net.forward_vjp(params, dims, beta, saved, g)[-1][1]
+        split = 4 * 3
+        assert np.all(g_scores[split:] == 0.0)
+        assert np.all(g_scores[:split] != 0.0)
+
+    def test_softplus_slope_finite_at_extremes(self):
+        # output scores of +800 and -800 alternate, so every normalization
+        # has a positive sum; the slope is 1 at +800 and 0 at -800
+        dims = NetworkDims(3, 3, R=1, J=4)
+        params = init_params(dims, 0, zero=True)
+        signs = np.where(np.arange(dims.output_width) % 2 == 0, 1.0, -1.0)
+        params[-1] = (params[-1][0], 800.0 * signs)
+        x, beta = np.zeros((1, 18)), np.ones((1, 4, 4))
+        saved = []
+        assert np.all(np.isfinite(net._forward_rows(params, dims, x, beta, saved)))
+        g = np.random.default_rng(7).normal(size=(1, 3, 3))
+        grads = net.forward_vjp(params, dims, beta, saved, g)
+        assert all(np.all(np.isfinite(arr)) for group in grads for arr in group)
+        assert np.all(grads[-1][1][signs < 0] == 0.0)
+        assert np.any(grads[-1][1][signs > 0] != 0.0)
+
+
 @pytest.fixture(params=["helpers", "serial"])
 def split(request, monkeypatch):
     """forward_batch's parts on two helper threads beside the caller (more

@@ -10,8 +10,8 @@ import pytest
 import traincache
 from matchfrontier import cli, metrics, net
 from matchfrontier.autodiff import Tape, backward
-from matchfrontier.net import (NetworkDims, NetworkMechanism, init_params,
-                               load_checkpoint)
+from matchfrontier.net import (NetworkDims, NetworkMechanism, NumericOverflowError,
+                               init_params, load_checkpoint)
 from matchfrontier.prefs import (AgentId, DistributionConfig,
                                  DistributionKind, PreferenceOrder,
                                  PreferenceProfile, Side, encode_ranks,
@@ -448,6 +448,36 @@ class TestTrainLoop:
         assert [row[0] for row in result.log] == [3, 6, 7]
         assert reported == [3, 6, 7]
         assert result.log[-1][2:4] == (result.heldout_stv, result.heldout_rgt)
+
+    def test_row_loss_is_mean_since_previous_row(self):
+        # eval points do not touch the parameters, so a run that logs every
+        # iteration gives the per-iteration losses of the same trajectory
+        losses = [row[1] for row in train(small_config(iterations=7, eval_every=1)).log]
+        rows = train(small_config(iterations=7, eval_every=3)).log
+        assert [row[1] for row in rows] == [float(np.mean(losses[a:b]))
+                                            for a, b in ((0, 3), (3, 6), (6, 7))]
+        only = train(small_config(iterations=7, eval_every=0)).log
+        assert [row[1] for row in only] == [float(np.mean(losses))]
+
+    def test_truth_forward_overflow_aborts_before_update(self, tmp_path, monkeypatch):
+        def huge_first_layer(dims, seed):
+            params = init_params(dims, seed)
+            params[0] = (np.full_like(params[0][0], 1e308), params[0][1])
+            return params
+
+        def unreachable(*args):
+            raise AssertionError("the truth forward did not raise")
+
+        # the tape's truth forward raises, before the search and the update
+        monkeypatch.setattr(train_module, "init_params", huge_first_layer)
+        monkeypatch.setattr(train_module, "_search_defeating", unreachable)
+        monkeypatch.setattr(train_module, "adam_step", unreachable)
+        log = tmp_path / "run.log"
+        with pytest.raises(NumericOverflowError) as info:
+            train(small_config(log_path=str(log)))
+        assert info.value.layer == 0
+        with open(log) as fh:
+            assert list(csv.reader(fh)) == [["iter", "loss", "stv", "rgt", "lr"]]
 
     def test_zero_iterations_checkpoint_initial_params(self, tmp_path, monkeypatch):
         evals, saves = self.count_eval_points(monkeypatch)
