@@ -1,12 +1,9 @@
-"""Minimal reverse-mode differentiation over numpy arrays, plus the
-Adam-style optimizer with decoupled weight decay and the step-wise
-learning-rate schedule.
+"""The training tape's reverse pass, plus the Adam-style optimizer with
+decoupled weight decay and the step-wise learning-rate schedule.
 
-The op set is exactly what the matching network's loss needs: broadcast
-add/sub/mul/div, relu, sum and mean reductions, reshape, and scalar
-combinations.  The network's marginals enter a tape as one node whose
-backprop is `net.forward_vjp`, which holds the network's own kink
-conventions.  relu has slope 0 at its kink.
+A tape holds the parameter leaves and nodes that carry their own
+backprop: the network's marginals (`net.forward_vjp`) and the loss (its
+closed-form gradient, in `train`).
 """
 from __future__ import annotations
 
@@ -23,19 +20,6 @@ class NumericError(ArithmeticError):
     pass
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a broadcasted gradient back to the operand's shape."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
 class Tape:
     """Append-only record of one forward build; replay order is creation
     order, which is topological by construction."""
@@ -46,10 +30,6 @@ class Tape:
 
     def leaf(self, value) -> "Node":
         return Node(self, np.asarray(value, dtype=np.float64), (), None)
-
-    def constant(self, value) -> "Node":
-        # constants are leaves too; their gradients are simply never read
-        return self.leaf(value)
 
 
 class Node:
@@ -62,73 +42,6 @@ class Node:
         self.backprop = backprop  # grad -> the parents' grads, in order
         self.grad = None
         tape.nodes.append(self)
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def _lift(self, other) -> "Node":
-        if isinstance(other, Node):
-            return other
-        return self.tape.constant(other)
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        other = self._lift(other)
-        return Node(self.tape, self.value + other.value, (self, other),
-                    lambda g: (_unbroadcast(g, self.shape), _unbroadcast(g, other.shape)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        return Node(self.tape, self.value - other.value, (self, other),
-                    lambda g: (_unbroadcast(g, self.shape), _unbroadcast(-g, other.shape)))
-
-    def __rsub__(self, other):
-        return self._lift(other).__sub__(self)
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        return Node(self.tape, self.value * other.value, (self, other),
-                    lambda g: (_unbroadcast(g * other.value, self.shape),
-                               _unbroadcast(g * self.value, other.shape)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        return Node(self.tape, self.value / other.value, (self, other),
-                    lambda g: (_unbroadcast(g / other.value, self.shape),
-                               _unbroadcast(-g * self.value / (other.value ** 2),
-                                            other.shape)))
-
-    # -- nonlinearities -----------------------------------------------------
-
-    def relu(self):
-        mask = self.value > 0.0
-        return Node(self.tape, np.where(mask, self.value, 0.0), (self,),
-                    lambda g: (g * mask,))
-
-    # -- shape / reduction --------------------------------------------------
-
-    def sum(self, axis=None, keepdims=False):
-        def backprop(g):
-            if axis is None:
-                return (np.broadcast_to(g, self.shape).copy(),)
-            g_exp = g if keepdims else np.expand_dims(g, axis)
-            return (np.broadcast_to(g_exp, self.shape).copy(),)
-        return Node(self.tape, self.value.sum(axis=axis, keepdims=keepdims),
-                    (self,), backprop)
-
-    def mean(self, axis=None):
-        count = self.value.size if axis is None else self.value.shape[axis]
-        return self.sum(axis=axis) / count
-
-    def reshape(self, *shape):
-        return Node(self.tape, self.value.reshape(*shape), (self,),
-                    lambda g: (g.reshape(self.shape),))
 
 
 def backward(tape: Tape, output: Node) -> None:

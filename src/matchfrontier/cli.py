@@ -153,6 +153,8 @@ def load_source(args):
     """The mechanism of --mechanism or --checkpoint, its lambda (None for
     baselines), and the profiles of --profiles, of which there must be
     at least one."""
+    if args.mechanism and args.checkpoint:
+        raise ConfigError("give --mechanism or --checkpoint, not both")
     if args.mechanism:
         label = args.mechanism.lower()
         if label not in BASELINE_LABELS:

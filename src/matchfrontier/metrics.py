@@ -51,19 +51,30 @@ def stv_pair(r: RandomizedMatching, enc: EncodedProfile, w: int, f: int) -> floa
     return firm_side * worker_side
 
 
-def stv_batch(r: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Per-profile average stability violation, 1/2 (1/m + 1/n) times the
-    sum of stv_pair over all pairs, for marginals r and encodings p, q,
-    all (B, n, m)."""
+def stv_terms(r: np.ndarray, p: np.ndarray, q: np.ndarray):
+    """stv's scale 1/2 (1/m + 1/n) and, per pair, the firm-side and
+    worker-side envy masses whose product is stv_pair, for marginals r and
+    encodings p, q, all (B, n, m), with the weights the sides are linear in
+    r through: dq (B, w, w', f), max(q, 0), dp (B, w, f, f'), max(p, 0)."""
     n, m = p.shape[1:]
     g_bot_f = 1.0 - r.sum(axis=1)             # (B, m)
     g_w_bot = 1.0 - r.sum(axis=2)             # (B, n)
     # firm_side[w, f] = sum_w' r[w', f] * max(q[w, f] - q[w', f], 0) + g_bot_f[f] * max(q[w, f], 0)
     dq = np.maximum(q[:, :, None, :] - q[:, None, :, :], 0.0)    # (B, w, w', f)
-    firm_side = np.einsum("baf,bwaf->bwf", r, dq) + g_bot_f[:, None, :] * np.maximum(q, 0.0)
+    q_pos = np.maximum(q, 0.0)
+    firm_side = np.einsum("baf,bwaf->bwf", r, dq) + g_bot_f[:, None, :] * q_pos
     dp = np.maximum(p[:, :, :, None] - p[:, :, None, :], 0.0)    # (B, w, f, f')
-    worker_side = np.einsum("bwg,bwfg->bwf", r, dp) + g_w_bot[:, :, None] * np.maximum(p, 0.0)
-    return 0.5 * (1.0 / m + 1.0 / n) * (firm_side * worker_side).sum(axis=(1, 2))
+    p_pos = np.maximum(p, 0.0)
+    worker_side = np.einsum("bwg,bwfg->bwf", r, dp) + g_w_bot[:, :, None] * p_pos
+    return 0.5 * (1.0 / m + 1.0 / n), firm_side, worker_side, (dq, q_pos, dp, p_pos)
+
+
+def stv_batch(r: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per-profile average stability violation, 1/2 (1/m + 1/n) times the
+    sum of stv_pair over all pairs, for marginals r and encodings p, q,
+    all (B, n, m)."""
+    scale, firm_side, worker_side, _ = stv_terms(r, p, q)
+    return scale * (firm_side * worker_side).sum(axis=(1, 2))
 
 
 def stv_profile(r: RandomizedMatching, enc: EncodedProfile) -> float:

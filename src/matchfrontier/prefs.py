@@ -298,12 +298,13 @@ def _parse_order(text: str, prefix: str) -> PreferenceOrder:
     entries = []
     for token in text.split(","):
         token = token.strip()
+        index = token[len(prefix):] if token.startswith(prefix) else ""
         if token == "_":
             entries.append(BOTTOM)
-        elif token.startswith(prefix):
-            entries.append(int(token[len(prefix):]) - 1)
+        elif index.isdecimal() and int(index) >= 1:
+            entries.append(int(index) - 1)
         else:
-            raise ValueError(f"bad token {token!r}, expected {prefix}<k> or _")
+            raise ValueError(f"bad token {token!r}, expected {prefix}<k> (k from 1) or _")
     return PreferenceOrder(tuple(entries))
 
 

@@ -5,7 +5,7 @@ The loss is lambda * stability violation + (1 - lambda) * a regret
 surrogate.  Per agent, the surrogate fixes both the defeating misreport
 and the threshold at which it wins (recomputed from scratch every
 iteration at current parameters); only the marginal probabilities flow
-gradients.
+gradients, through the loss's closed-form gradient and `net.forward_vjp`.
 """
 from __future__ import annotations
 
@@ -118,6 +118,39 @@ def _defeat_inputs(batch: _Batch, dims: NetworkDims, variants, best_k, best_th):
     return X_def, beta_def, ind_sel
 
 
+def _loss_node(r_t, r_d, batch: _Batch, ind_sel, lam: float):
+    """The loss lam * stv + (1 - lam) * rgt as one tape node over the truth
+    and defeat marginals, (B, n, m) and (B * (n+m), n, m), with its stv and
+    rgt.  Its backprop is closed-form: stv's two envy sides are linear in
+    r_t, and the surrogate is linear in both where a defeat gain is > 0."""
+    B, n, m = r_t.value.shape
+    scale, firm_side, worker_side, (dq, q_pos, dp, p_pos) = \
+        metrics.stv_terms(r_t.value, batch.P, batch.Q)
+    stv = (scale * (firm_side * worker_side).sum(axis=(1, 2))).sum() / B
+    # regret surrogate at the fixed defeating report and threshold
+    cum_d = (r_d.value.reshape(B, n + m, n, m) * ind_sel).sum(axis=(2, 3))
+    cum_t = (r_t.value[:, None] * ind_sel).sum(axis=(2, 3))
+    gain = cum_d - cum_t
+    weights = side_weights(n, m)
+    rgt = (np.where(gain > 0.0, gain, 0.0) * weights).sum(axis=1).sum() / B
+
+    def backprop(g):
+        s = g * lam / B * scale
+        firm_g, worker_g = s * worker_side, s * firm_side
+        defeat_g = (g * (1.0 - lam) / B * weights * (gain > 0.0))[:, :, None, None] * ind_sel
+        # r_t's terms are summed in this order (regret, worker envy, firm
+        # envy, worker and firm unmatched) so the desk gradients keep their bits
+        return (-defeat_g.sum(axis=1)
+                + (worker_g[:, :, :, None] * dp).sum(axis=2)
+                + (firm_g[:, :, None, :] * dq).sum(axis=1)
+                - (worker_g * p_pos).sum(axis=2)[:, :, None]
+                - (firm_g * q_pos).sum(axis=1)[:, None, :],
+                defeat_g.reshape(r_d.value.shape))
+
+    loss = autodiff.Node(r_t.tape, stv * lam + rgt * (1.0 - lam), (r_t, r_d), backprop)
+    return loss, float(stv), float(rgt)
+
+
 @dataclass
 class LossBuild:
     tape: Tape
@@ -130,10 +163,6 @@ class LossBuild:
 
 def _loss_from_batch(params, dims: NetworkDims, batch: _Batch, lam: float,
                      tables, selection=None) -> LossBuild:
-    n, m = dims.n, dims.m
-    B = len(batch.profiles)
-    A = n + m
-
     tape = Tape()
     param_nodes = [(tape.leaf(w), tape.leaf(bias)) for w, bias in params]
     # the one truth forward: the search reads the tape node's values, which
@@ -146,29 +175,10 @@ def _loss_from_batch(params, dims: NetworkDims, batch: _Batch, lam: float,
         best_k, best_th = selection
 
     X_def, beta_def, ind_sel = _defeat_inputs(batch, dims, variants, best_k, best_th)
-    r_d = _forward_tape(tape, param_nodes, dims,
-                        X_def.reshape(B * A, -1), beta_def.reshape(B * A, n + 1, m + 1))
-
-    # stability violation (vectorized Eqs. for all pairs)
-    dq = np.maximum(batch.Q[:, :, None, :] - batch.Q[:, None, :, :], 0.0)  # (B, w, w', f)
-    dp = np.maximum(batch.P[:, :, :, None] - batch.P[:, :, None, :], 0.0)  # (B, w, f, f')
-    g_bot_f = 1.0 - r_t.sum(axis=1)            # (B, m) node
-    g_w_bot = 1.0 - r_t.sum(axis=2)            # (B, n) node
-    firm_side = (r_t.reshape(B, 1, n, m) * tape.constant(dq)).sum(axis=2) \
-        + g_bot_f.reshape(B, 1, m) * tape.constant(np.maximum(batch.Q, 0.0))
-    worker_side = (r_t.reshape(B, n, 1, m) * tape.constant(dp)).sum(axis=3) \
-        + g_w_bot.reshape(B, n, 1) * tape.constant(np.maximum(batch.P, 0.0))
-    stv_node = ((firm_side * worker_side).sum(axis=(1, 2))
-                * (0.5 * (1.0 / m + 1.0 / n))).mean()
-
-    # regret surrogate at the fixed defeating report and threshold
-    cum_d = (r_d.reshape(B, A, n, m) * tape.constant(ind_sel)).sum(axis=(2, 3))
-    cum_t = (r_t.reshape(B, 1, n, m) * tape.constant(ind_sel)).sum(axis=(2, 3))
-    rgt_node = ((cum_d - cum_t).relu() * tape.constant(side_weights(n, m))).sum(axis=1).mean()
-
-    loss = stv_node * lam + rgt_node * (1.0 - lam)
-    return LossBuild(tape=tape, loss=loss, param_nodes=param_nodes,
-                     stv=float(stv_node.value), rgt=float(rgt_node.value),
+    r_d = _forward_tape(tape, param_nodes, dims, X_def.reshape(-1, X_def.shape[2]),
+                        beta_def.reshape(-1, *beta_def.shape[2:]))
+    loss, stv, rgt = _loss_node(r_t, r_d, batch, ind_sel, lam)
+    return LossBuild(tape=tape, loss=loss, param_nodes=param_nodes, stv=stv, rgt=rgt,
                      selection=(best_k, best_th))
 
 

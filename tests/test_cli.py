@@ -251,6 +251,16 @@ class TestEval:
     def test_requires_some_mechanism(self, profile_file):
         assert cli.main(["eval", "--profiles", profile_file]) == 1
 
+    @pytest.mark.parametrize("command", ["eval", "audit", "decompose"])
+    def test_mechanism_and_checkpoint_rejected(self, tmp_path, profile_file, command,
+                                               capsys):
+        dims = NetworkDims(2, 2, R=2, J=6)
+        ckpt = tmp_path / "net.ckpt"
+        save_checkpoint(ckpt, init_params(dims, seed=4), dims, 0.5, 4)
+        assert cli.main([command, "--mechanism", "wda", "--checkpoint", str(ckpt),
+                         "--profiles", profile_file]) == 1
+        assert "not both" in capsys.readouterr().err
+
     def test_missing_profile_file_is_io_error(self, tmp_path):
         assert cli.main(["eval", "--mechanism", "wda", "--profiles",
                         str(tmp_path / "nope.txt")]) == 3

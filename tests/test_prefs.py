@@ -250,6 +250,12 @@ class TestTextFormat:
             parse_profile("f1,f2;f2,f1")  # no side separator
         with pytest.raises(ValueError):
             parse_profile("x1,_|w1,_")
+        # partners are numbered from 1: f0 is no partner, not the unmatched option
+        with pytest.raises(ValueError, match="'f0'"):
+            parse_profile("f1,f0,f2;f2,f1,_|w1,w2,_;w2,w1,_")
+        for token in ("w-1", "w", "wx"):
+            with pytest.raises(ValueError, match=f"'{token}'"):
+                parse_profile(f"f1,_|{token},_")
 
     def test_parse_validates(self):
         # worker ranks a firm index that does not exist

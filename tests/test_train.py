@@ -18,8 +18,8 @@ from matchfrontier.prefs import (AgentId, DistributionConfig,
                                  enumerate_misreports, parse_profile,
                                  rank_arrays, sample_profiles)
 from matchfrontier.train import (HELDOUT_LANE, TrainConfig, _Batch, _defeat_inputs,
-                                 _search_defeating, _variant_inputs, loss_minibatch,
-                                 misreport_tables, train)
+                                 _loss_node, _search_defeating, _variant_inputs,
+                                 loss_minibatch, misreport_tables, train)
 
 from conftest import reference_build_mask, reference_encode
 
@@ -80,6 +80,92 @@ class TestLossGradient:
         dims = NetworkDims(2, 2, R=2, J=6)
         with pytest.raises(ValueError):
             loss_minibatch(init_params(dims, 0), dims, [], 0.5)
+
+    @pytest.mark.parametrize("n,m,kind,p_corr", [
+        (2, 3, DistributionKind.UNCORRELATED, 0.0),
+        (3, 3, DistributionKind.UNCORRELATED, 0.0),
+        (4, 4, DistributionKind.CORRELATED, 0.25)])
+    @pytest.mark.parametrize("lam", [0.0, 0.4, 1.0])
+    def test_loss_node_matches_central_differences(self, n, m, kind, p_corr, lam):
+        # the loss node's backprop against central differences of its value
+        # in the truth and defeat marginals.  stv is quadratic in r_t and the
+        # surrogate is piecewise linear, so the differences are exact up to
+        # rounding, except for entries whose step moves a selected agent's
+        # gain across the relu's kink
+        batch, best_k, ind_sel, r_t, r_d = pinned_loss_inputs(n, m, kind, p_corr, lam)
+        (leaf_t, leaf_d), (loss, stv, rgt) = loss_node_at(batch, ind_sel, lam, r_t, r_d)
+        assert float(loss.value) == pytest.approx(lam * stv + (1 - lam) * rgt, abs=1e-15)
+        backward(loss.tape, loss)
+
+        h = 1e-5
+        B, A = len(batch.profiles), n + m
+        gain = (r_d.reshape(B, A, n, m) * ind_sel).sum(axis=(2, 3)) \
+            - (r_t[:, None] * ind_sel).sum(axis=(2, 3))
+        chosen = best_k >= 0
+        assert np.any(chosen & (gain > 0)) and np.any(chosen & (gain < 0)), \
+            "the selection must cover both sides of the relu's kink"
+        near_kink = (np.abs(gain) <= 2 * h)[:, :, None, None] & (ind_sel > 0)
+        checked = skipped = 0
+        for arr, grad, kink in ((r_t, leaf_t.grad, near_kink.any(axis=1)),
+                                (r_d, leaf_d.grad, near_kink.reshape(r_d.shape))):
+            for idx in np.ndindex(arr.shape):
+                if kink[idx]:
+                    skipped += 1
+                    continue
+                values = []
+                for step in (h, -h):
+                    bumped = arr.copy()
+                    bumped[idx] += step
+                    args = (bumped, r_d) if arr is r_t else (r_t, bumped)
+                    values.append(float(loss_node_at(batch, ind_sel, lam, *args)[1][0].value))
+                assert grad[idx] == pytest.approx((values[0] - values[1]) / (2 * h),
+                                                  abs=1e-9), idx
+                checked += 1
+        assert skipped < checked / 10
+
+    def test_loss_node_relu_kink_has_slope_zero(self):
+        # a selected agent whose defeat marginals equal the truth's has a
+        # gain of exactly 0, where the surrogate's slope is 0
+        n, m = 3, 3
+        batch, best_k, ind_sel, r_t, r_d = pinned_loss_inputs(
+            n, m, DistributionKind.UNCORRELATED, 0.0, 0.0)
+        b, a = np.argwhere(best_k >= 0)[0]
+        row = b * (n + m) + a
+        r_d = r_d.copy()
+        r_d[row] = r_t[b]
+        (leaf_t, leaf_d), (loss, _, _) = loss_node_at(batch, ind_sel, 0.0, r_t, r_d)
+        backward(loss.tape, loss)
+        assert ind_sel[b, a].any()
+        assert not leaf_d.grad[row].any()
+
+
+def pinned_loss_inputs(n, m, kind, p_corr, lam):
+    """A 12-profile batch, its defeating selection pinned at init_params
+    and its truth and defeat marginals at perturbed parameters, so that
+    some selected gains are negative: (batch, best_k, ind_sel, r_t, r_d)."""
+    dims = NetworkDims(n, m, R=2, J=16)
+    dist = DistributionConfig(kind, n, m, p_corr=p_corr, p_trunc=0.3, seed=11)
+    rng = np.random.default_rng(5)
+    pinned_at = init_params(dims, seed=11)
+    params = [(w + 0.3 * rng.standard_normal(w.shape), b + 0.3 * rng.standard_normal(b.shape))
+              for w, b in pinned_at]
+    profiles = sample_profiles(dist, 12, lane=1)
+    batch = _Batch(profiles, dims)
+    variants = _variant_inputs(batch.X, dims, misreport_tables(dims))
+    best_k, best_th = loss_minibatch(pinned_at, dims, profiles, lam).selection
+    X_def, beta_def, ind_sel = _defeat_inputs(batch, dims, variants, best_k, best_th)
+    r_t = net.forward_batch(params, dims, batch.X, batch.beta)
+    r_d = net.forward_batch(params, dims, X_def.reshape(-1, X_def.shape[2]),
+                            beta_def.reshape(-1, n + 1, m + 1))
+    return batch, best_k, ind_sel, r_t, r_d
+
+
+def loss_node_at(batch, ind_sel, lam, r_t, r_d):
+    """The loss node over two fresh leaves holding r_t and r_d: the leaves
+    and _loss_node's (loss, stv, rgt)."""
+    tape = Tape()
+    leaves = tape.leaf(r_t), tape.leaf(r_d)
+    return leaves, _loss_node(*leaves, batch, ind_sel, lam)
 
 
 def reference_batch(profiles, dims):
