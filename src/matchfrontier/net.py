@@ -2,7 +2,8 @@
 individually rational marginal matrix out.
 
 The forward pass is a pure function of explicit parameters.  Scores are
-softplus-squashed, masked by the acceptability matrix, normalized
+softplus-squashed, zeroed where either side of a pair reports the other
+unacceptable (read off the encoded input itself), normalized
 column-wise on the (n+1) x m tensor and row-wise on the n x (m+1) tensor,
 and combined with an elementwise min.  `forward_vjp` differentiates it
 from what the forward kernel saved, for the training loss.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prefs import (PreferenceProfile, Side, encode, encode_arrays, encode_ranks,
+from .prefs import (PreferenceProfile, Side, encode_arrays, encode_ranks,
                     enumerate_misreports, philox, rank_arrays, require_at_least)
 from .mechanisms import RandomizedMatching
 
@@ -68,54 +69,50 @@ def layer_shapes(dims: NetworkDims) -> list:
     return shapes
 
 
-def init_params(dims: NetworkDims, seed: int, zero: bool = False) -> list:
-    """Fan-in-scaled uniform weights, zero biases.  `zero` gives all-zero
-    parameters (useful for the analytic forward cases)."""
+def init_params(dims: NetworkDims, seed: int) -> list:
+    """Fan-in-scaled uniform weights, zero biases."""
     rng = philox(seed, 0x6E6574)
     params = []
     for (w_shape, b_shape) in layer_shapes(dims):
-        if zero:
-            weight = np.zeros(w_shape)
-        else:
-            bound = np.sqrt(1.0 / w_shape[1])
-            weight = rng.uniform(-bound, bound, size=w_shape)
-        params.append((weight, np.zeros(b_shape)))
+        bound = np.sqrt(1.0 / w_shape[1])
+        params.append((rng.uniform(-bound, bound, size=w_shape), np.zeros(b_shape)))
     return params
 
 
-def acceptability_mask(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """(..., n+1, m+1) 0/1 mask from encodings (..., n, m): zero exactly
-    where the pair is unacceptable to either side; the unmatched row and
-    column always pass."""
-    n, m = p.shape[-2:]
-    beta = np.ones(p.shape[:-2] + (n + 1, m + 1))
-    beta[..., :n, :m] = (p > 0.0) & (q > 0.0)
-    return beta
+def network_input(P: np.ndarray, Q: np.ndarray, dims: NetworkDims) -> np.ndarray:
+    """The network's input rows (B, 2nm): the encodings P and Q, both
+    (B, n, m), of B profiles side by side.  The profiles must have the
+    network's shape."""
+    if P.shape[1:] != (dims.n, dims.m):
+        raise ValueError(f"a {dims.n}x{dims.m} network cannot evaluate "
+                         f"{P.shape[1]}x{P.shape[2]} profiles")
+    B = P.shape[0]
+    return np.concatenate([P.reshape(B, -1), Q.reshape(B, -1)], axis=1)
 
 
-def build_mask(profile: PreferenceProfile) -> np.ndarray:
-    enc = encode(profile)
-    return acceptability_mask(enc.p, enc.q)
+def acceptable_pairs(x: np.ndarray, n: int, m: int) -> np.ndarray:
+    """(B, n, m) bool: which pairs of the input rows x (B, 2nm) both sides
+    report acceptable, the pairs whose encoded utilities are both > 0."""
+    nm = n * m
+    return ((x[:, :nm] > 0.0) & (x[:, nm:] > 0.0)).reshape(-1, n, m)
 
 
-def forward_batch(params, dims: NetworkDims, x: np.ndarray, beta: np.ndarray
-                  ) -> np.ndarray:
-    """Batched forward pass: x is (B, 2nm), beta is (B, n+1, m+1); returns
-    marginal matrices (B, n, m).  Each output row depends on its input row
-    alone, so the caller runs its share of the parts and the `_helpers`
-    threads the rest; an overflow raises from the first part that has one."""
+def forward_batch(params, dims: NetworkDims, x: np.ndarray) -> np.ndarray:
+    """Batched forward pass: x is (B, 2nm); returns marginal matrices
+    (B, n, m).  Each output row depends on its input row alone, so the
+    caller runs its share of the parts and the `_helpers` threads the rest;
+    an overflow raises from the first part that has one."""
     rows = x.shape[0]
     if rows <= _FORWARD_PART:
-        return _forward_rows(params, dims, x, beta)
+        return _forward_rows(params, dims, x)
     parts = -(-rows // _FORWARD_PART)
     bounds = [rows * i // parts for i in range(parts + 1)]
     slices = list(zip(bounds[:-1], bounds[1:]))
     pool, threads = _helpers() or (None, 0)
     own = parts // min(parts, threads + 1)  # the caller's share, rounded down
-    futures = [pool.submit(_forward_rows, params, dims, x[a:b], beta[a:b])
-               for a, b in slices[own:]]
+    futures = [pool.submit(_forward_rows, params, dims, x[a:b]) for a, b in slices[own:]]
     try:
-        out = [_forward_rows(params, dims, x[a:b], beta[a:b]) for a, b in slices[:own]]
+        out = [_forward_rows(params, dims, x[a:b]) for a, b in slices[:own]]
     finally:
         # no part outlives the call, even when the caller's own share raised
         wait(futures)
@@ -158,11 +155,10 @@ def _pin_blas_to_one_thread() -> bool:
     return False
 
 
-def _forward_rows(params, dims: NetworkDims, x: np.ndarray, beta: np.ndarray,
-                  saved=None) -> np.ndarray:
+def _forward_rows(params, dims: NetworkDims, x: np.ndarray, saved=None) -> np.ndarray:
     """forward_batch's kernel on one part of its rows.  A `saved` list is
-    filled with what forward_vjp reads: every layer's input, the output
-    scores before softplus, the masked scores and their two sums."""
+    filled with what forward_vjp reads: every layer's input (x first), the
+    output scores before softplus, the masked scores and their two sums."""
     n, m = dims.n, dims.m
     # matmul cannot write into its operand: two ping-pong buffers, or one per
     # hidden layer when every layer's input is saved; one more for ReLU
@@ -191,8 +187,10 @@ def _forward_rows(params, dims: NetworkDims, x: np.ndarray, beta: np.ndarray,
     s = np.logaddexp(0.0, out, out=out if saved is None else None)
     shat = s[:, :split].reshape(-1, n + 1, m)
     shat2 = s[:, split:].reshape(-1, n, m + 1)
-    shat *= beta[:, :, :m]
-    shat2 *= beta[:, :n, :]
+    # individual rationality: an unacceptable pair scores 0 in both tensors
+    accept = acceptable_pairs(x, n, m)
+    shat[:, :n, :] *= accept
+    shat2[:, :, :m] *= accept
     sums, sums2 = shat.sum(axis=1, keepdims=True), shat2.sum(axis=2, keepdims=True)
     if saved is not None:
         saved += [h, out, s.copy(), sums, sums2]
@@ -201,7 +199,7 @@ def _forward_rows(params, dims: NetworkDims, x: np.ndarray, beta: np.ndarray,
     return np.minimum(shat[:, :n, :], shat2[:, :, :m])
 
 
-def forward_vjp(params, dims: NetworkDims, beta: np.ndarray, saved, g: np.ndarray) -> list:
+def forward_vjp(params, dims: NetworkDims, saved, g: np.ndarray) -> list:
     """Per layer, the (weight, bias) gradients of sum(g * r), where r is the
     _forward_rows output (B, n, m) that filled `saved`.  At the kinks the
     min routes a tie to the column-normalized score and leaky ReLU takes
@@ -222,8 +220,11 @@ def forward_vjp(params, dims: NetworkDims, beta: np.ndarray, saved, g: np.ndarra
     slope = np.where(scores >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
     g_sbar = g_hat / sums + (-g_hat * sbar / sums ** 2).sum(axis=1, keepdims=True)
     g_sbar2 = g_hat2 / sums2 + (-g_hat2 * sbar2 / sums2 ** 2).sum(axis=2, keepdims=True)
-    g_out = np.concatenate([(g_sbar * beta[:, :, :m]).reshape(len(g), -1),
-                            (g_sbar2 * beta[:, :n, :]).reshape(len(g), -1)], axis=1) * slope
+    accept = acceptable_pairs(inputs[0], n, m)
+    g_sbar[:, :n, :] *= accept
+    g_sbar2[:, :, :m] *= accept
+    g_out = np.concatenate([g_sbar.reshape(len(g), -1), g_sbar2.reshape(len(g), -1)],
+                           axis=1) * slope
     grads = []
     for layer in range(len(params) - 1, -1, -1):
         h = inputs[layer]
@@ -265,7 +266,7 @@ def misreport_tables(dims: NetworkDims):
 
 
 def _variant_inputs(X: np.ndarray, dims: NetworkDims, tables):
-    """Inputs and masks for every (profile, agent, misreport) combination
+    """Inputs for every (profile, agent, misreport) combination
     of the truthful inputs X (B, 2nm), grouped profile-major, worker agents
     before firm agents, plus the table sizes (Kw, Kf) that locate a row."""
     n, m = dims.n, dims.m
@@ -282,9 +283,7 @@ def _variant_inputs(X: np.ndarray, dims: NetworkDims, tables):
     for f in range(m):
         rows = slice(n * Kw + f * Kf, n * Kw + (f + 1) * Kf)
         Xv[:, rows, :][:, :, q_idx + f] = table_f.rows[None, :, :]
-    Xv = Xv.reshape(-1, 2 * nm)
-    Bv = acceptability_mask(Xv[:, :nm].reshape(-1, n, m), Xv[:, nm:].reshape(-1, n, m))
-    return Xv, Bv, (Kw, Kf)
+    return Xv.reshape(-1, 2 * nm), (Kw, Kf)
 
 
 class NetworkMechanism:
@@ -297,10 +296,8 @@ class NetworkMechanism:
         self.dims = dims
 
     def _marginals(self, profiles) -> np.ndarray:
-        P, Q, _ = encode_arrays(profiles, self.dims.n, self.dims.m)
-        B = len(profiles)
-        x = np.concatenate([P.reshape(B, -1), Q.reshape(B, -1)], axis=1)
-        return forward_batch(self.params, self.dims, x, acceptability_mask(P, Q))
+        P, Q, _ = encode_arrays(profiles, profiles[0].n, profiles[0].m)
+        return forward_batch(self.params, self.dims, network_input(P, Q, self.dims))
 
     def evaluate(self, profile: PreferenceProfile) -> RandomizedMatching:
         return RandomizedMatching(self._marginals([profile])[0])
@@ -316,14 +313,10 @@ class NetworkMechanism:
         worker's Kw `misreport_tables` reports, then each firm's Kf), and
         (Kw, Kf)."""
         n, m = self.dims.n, self.dims.m
-        if P.shape[1:] != (n, m):
-            raise ValueError(f"a {n}x{m} network cannot evaluate "
-                             f"{P.shape[1]}x{P.shape[2]} profiles")
-        B = P.shape[0]
-        X = np.concatenate([P.reshape(B, -1), Q.reshape(B, -1)], axis=1)
-        r = forward_batch(self.params, self.dims, X, acceptability_mask(P, Q))
-        Xv, Bv, sizes = _variant_inputs(X, self.dims, misreport_tables(self.dims))
-        r_var = forward_batch(self.params, self.dims, Xv, Bv).reshape(B, -1, n, m)
+        X = network_input(P, Q, self.dims)
+        r = forward_batch(self.params, self.dims, X)
+        Xv, sizes = _variant_inputs(X, self.dims, misreport_tables(self.dims))
+        r_var = forward_batch(self.params, self.dims, Xv).reshape(len(X), -1, n, m)
         return r, r_var, sizes
 
 

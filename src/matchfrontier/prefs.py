@@ -329,11 +329,16 @@ def write_profiles(path, profiles, header: str = "") -> None:
 
 
 def read_profiles(path) -> list:
+    """The profiles of a profile file; a malformed line raises a ValueError
+    prefixed with `path:lineno:`."""
     profiles = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            profiles.append(parse_profile(line))
+            try:
+                profiles.append(parse_profile(line))
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from err
     return profiles

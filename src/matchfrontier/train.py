@@ -19,7 +19,7 @@ from . import autodiff, metrics, net
 from .autodiff import NumericError, OptimizerState, Tape, adam_step, backward, lr_schedule
 from .metrics import fosd_search, side_weights, threshold_sets
 from .net import (NetworkDims, NetworkMechanism, NumericOverflowError, _variant_inputs,
-                  init_params, misreport_tables)
+                  init_params, misreport_tables, network_input)
 from .prefs import (DistributionConfig, encode_arrays, profile_stream, require_at_least,
                     sample_profile, sample_profiles)
 
@@ -46,6 +46,10 @@ class TrainConfig:
     def __post_init__(self):
         if not (0.0 <= self.lam <= 1.0):
             raise ValueError("lambda must lie in [0, 1]")
+        for key in ("base_lr", "weight_decay"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{key} must be finite and at least 0, got {value}")
         # 0 is valid: no iterations, the last one the only eval point, no held-out set
         require_at_least(self, 0, "iterations", "eval_every", "test_size")
         require_at_least(self, 1, "batch_size")
@@ -62,12 +66,10 @@ class _Batch:
     """
 
     def __init__(self, profiles, dims: NetworkDims):
-        B = len(profiles)
         self.profiles = profiles
         self.P, self.Q, ranks = encode_arrays(profiles, dims.n, dims.m)
-        self.beta = net.acceptability_mask(self.P, self.Q)
         self.ind, self.thr_valid = threshold_sets(*ranks, dims.n, dims.m)
-        self.X = np.concatenate([self.P.reshape(B, -1), self.Q.reshape(B, -1)], axis=1)
+        self.X = network_input(self.P, self.Q, dims)
 
 
 def _search_defeating(params, dims: NetworkDims, batch: _Batch, variants, r_truth):
@@ -76,46 +78,44 @@ def _search_defeating(params, dims: NetworkDims, batch: _Batch, variants, r_trut
     `metrics.fosd_search` over the network's marginals of every variant.
     `variants` is the batch's _variant_inputs; `r_truth` holds the
     caller's marginals (B, n, m) of the batch's truthful inputs."""
-    Xv, Bv, (Kw, Kf) = variants
-    r_var = net.forward_batch(params, dims, Xv, Bv).reshape(len(batch.profiles), -1,
-                                                            dims.n, dims.m)
+    Xv, (Kw, Kf) = variants
+    r_var = net.forward_batch(params, dims, Xv).reshape(len(batch.profiles), -1,
+                                                        dims.n, dims.m)
     return fosd_search(r_truth, r_var, batch.ind, batch.thr_valid, dims.n, dims.m, Kw, Kf)
 
 
 # ---------------------------------------------------------------------------
 # Tape forward and loss
 
-def _forward_tape(tape: Tape, param_nodes, dims: NetworkDims, x: np.ndarray,
-                  beta: np.ndarray):
+def _forward_tape(tape: Tape, param_nodes, dims: NetworkDims, x: np.ndarray):
     """The network's marginals as one tape node: net's own kernel forward,
     whose parents are the parameter leaves and whose backprop is
     net.forward_vjp."""
     params = [(weight.value, bias.value) for weight, bias in param_nodes]
     saved = []
-    r = net._forward_rows(params, dims, x, beta, saved)
+    r = net._forward_rows(params, dims, x, saved)
 
     def backprop(g):
-        grads = net.forward_vjp(params, dims, beta, saved, g)
+        grads = net.forward_vjp(params, dims, saved, g)
         return [grad for group in grads for grad in group]
 
     return autodiff.Node(tape, r, [leaf for group in param_nodes for leaf in group], backprop)
 
 
 def _defeat_inputs(batch: _Batch, dims: NetworkDims, variants, best_k, best_th):
-    """Per (profile, agent): the variant row and mask of the agent's chosen
+    """Per (profile, agent): the variant row of the agent's chosen
     misreport (the truth inputs where truth wins, best_k < 0), and the
     prefix-set indicator of the chosen threshold (zero where truth wins)."""
     n, m = dims.n, dims.m
     B = len(batch.profiles)
-    Xv, Bv, (Kw, Kf) = variants
+    Xv, (Kw, Kf) = variants
     chosen = best_k >= 0
     start = np.concatenate([np.arange(n) * Kw, n * Kw + np.arange(m) * Kf])
     rows = np.arange(B)[:, None] * (n * Kw + m * Kf) + start + np.maximum(best_k, 0)
     X_def = np.where(chosen[:, :, None], Xv[rows], batch.X[:, None, :])
-    beta_def = np.where(chosen[:, :, None, None], Bv[rows], batch.beta[:, None])
     ind_sel = np.take_along_axis(batch.ind, best_th[:, :, None, None, None], axis=2)[:, :, 0]
     ind_sel = np.where(chosen[:, :, None, None], ind_sel, 0.0)
-    return X_def, beta_def, ind_sel
+    return X_def, ind_sel
 
 
 def _loss_node(r_t, r_d, batch: _Batch, ind_sel, lam: float):
@@ -167,16 +167,15 @@ def _loss_from_batch(params, dims: NetworkDims, batch: _Batch, lam: float,
     param_nodes = [(tape.leaf(w), tape.leaf(bias)) for w, bias in params]
     # the one truth forward: the search reads the tape node's values, which
     # are _forward_rows' own, so forward_batch's for up to net._FORWARD_PART rows
-    r_t = _forward_tape(tape, param_nodes, dims, batch.X, batch.beta)
+    r_t = _forward_tape(tape, param_nodes, dims, batch.X)
     variants = _variant_inputs(batch.X, dims, tables)
     if selection is None:
         best_k, best_th, _ = _search_defeating(params, dims, batch, variants, r_t.value)
     else:
         best_k, best_th = selection
 
-    X_def, beta_def, ind_sel = _defeat_inputs(batch, dims, variants, best_k, best_th)
-    r_d = _forward_tape(tape, param_nodes, dims, X_def.reshape(-1, X_def.shape[2]),
-                        beta_def.reshape(-1, *beta_def.shape[2:]))
+    X_def, ind_sel = _defeat_inputs(batch, dims, variants, best_k, best_th)
+    r_d = _forward_tape(tape, param_nodes, dims, X_def.reshape(-1, X_def.shape[2]))
     loss, stv, rgt = _loss_node(r_t, r_d, batch, ind_sel, lam)
     return LossBuild(tape=tape, loss=loss, param_nodes=param_nodes, stv=stv, rgt=rgt,
                      selection=(best_k, best_th))

@@ -16,8 +16,8 @@ from matchfrontier import cli, metrics, oracle
 from matchfrontier.mechanisms import (MechanismKind, RandomizedMatching,
                                       LiftedMechanism, bvn_decompose, da,
                                       rsd_exact, Proposing)
-from matchfrontier.net import (NetworkDims, NetworkMechanism, build_mask,
-                               forward_batch, init_params, load_checkpoint,
+from matchfrontier.net import (NetworkDims, NetworkMechanism, forward_batch,
+                               init_params, layer_shapes, load_checkpoint,
                                misreport_tables)
 from matchfrontier.prefs import (BOTTOM, AgentId, DistributionConfig,
                                  DistributionKind, PreferenceOrder, Side,
@@ -27,7 +27,7 @@ from matchfrontier.train import (HELDOUT_LANE, _Batch, _heldout_stv_rgt, _loss_f
                                  loss_minibatch)
 from matchfrontier.autodiff import backward
 
-from conftest import EXAMPLE1_TEXT, RSD_EXPECTED
+from conftest import EXAMPLE1_TEXT, RSD_EXPECTED, reference_build_mask
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -199,8 +199,8 @@ class TestAcceptance:
             profiles = sample_profiles(cfg, 100)
             X = np.stack([np.concatenate([e.p.reshape(-1), e.q.reshape(-1)])
                           for e in map(encode, profiles)])
-            betas = np.stack([build_mask(p) for p in profiles])
-            r = forward_batch(params, dims, X, betas)
+            betas = np.stack([reference_build_mask(p) for p in profiles])
+            r = forward_batch(params, dims, X)
             worst_sum = max(worst_sum, float(r.sum(axis=1).max()),
                             float(r.sum(axis=2).max()))
             worst_neg = min(worst_neg, float(r.min()))
@@ -215,8 +215,8 @@ class TestAcceptance:
 
     def test_08_analytic_forward(self):
         dims = NetworkDims(4, 4, R=4, J=32)
-        params = init_params(dims, 0, zero=True)
-        r = forward_batch(params, dims, np.zeros((1, 32)), np.ones((1, 5, 5)))
+        params = [(np.zeros(w), np.zeros(b)) for w, b in layer_shapes(dims)]
+        r = forward_batch(params, dims, np.ones((1, 32)))
         err = float(np.max(np.abs(r - 0.2)))
         report(8, "zero-parameter forward is uniform 1/5", err <= 1e-12,
                f"max err {err:.2e}")

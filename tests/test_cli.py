@@ -261,6 +261,30 @@ class TestEval:
                          "--profiles", profile_file]) == 1
         assert "not both" in capsys.readouterr().err
 
+    def test_malformed_line_names_file_and_line(self, tmp_path, profile_file, capsys):
+        good = read_profiles(profile_file)[0]
+        bad = tmp_path / "bad.txt"
+        bad.write_text("# header\n" + prefs.format_profile(good) + "\n"
+                       + "f1,f0|w1,_;w1,_\n")
+        assert cli.main(["eval", "--mechanism", "wda", "--profiles", str(bad)]) == 1
+        assert f"error: {bad}:3: bad token 'f0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["eval"], ["eval", "--matchings-out", "m.txt"],
+                                         ["audit"], ["decompose"]],
+                             ids=["eval", "eval-matchings", "audit", "decompose"])
+    @pytest.mark.parametrize("n,m", [(2, 3), (4, 4)])
+    def test_network_refuses_other_shape(self, tmp_path, monkeypatch, command, n, m, capsys):
+        # the network's shape check, not the profile encoder, names the mismatch
+        monkeypatch.chdir(tmp_path)
+        dims = NetworkDims(3, 3, R=1, J=4)
+        save_checkpoint(tmp_path / "net.ckpt", init_params(dims, seed=4), dims, 0.5, 4)
+        dist = DistributionConfig(DistributionKind.UNCORRELATED, n, m, p_trunc=0.3, seed=2)
+        write_profiles(tmp_path / "p.txt", sample_profiles(dist, 2))
+        assert cli.main([command[0], "--checkpoint", "net.ckpt", "--profiles", "p.txt",
+                         *command[1:]]) == 1
+        assert f"error: a 3x3 network cannot evaluate {n}x{m} profiles" \
+            in capsys.readouterr().err
+
     def test_missing_profile_file_is_io_error(self, tmp_path):
         assert cli.main(["eval", "--mechanism", "wda", "--profiles",
                         str(tmp_path / "nope.txt")]) == 3
@@ -334,6 +358,22 @@ class TestSettingsRange:
         captured = capsys.readouterr()
         assert f"error: {new.split()[0]} must be at least" in captured.err
         assert "iter" not in captured.out and "checkpoint" not in captured.out
+        assert not ckpt.exists() and not log.exists()
+
+    @pytest.mark.parametrize("line", ["base_lr = nan", "base_lr = inf", "base_lr = -0.005",
+                                      "weight_decay = nan", "weight_decay = inf",
+                                      "weight_decay = -1"])
+    def test_train_rejects_learning_settings(self, tmp_path, line, capsys):
+        # NaN and infinite values once trained a step, then failed as numeric
+        # errors; negative ones trained silently
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CFG + line + "\n")
+        ckpt, log = tmp_path / "run.ckpt", tmp_path / "run.log"
+        assert cli.main(["train", "--config", str(cfg), "--checkpoint", str(ckpt),
+                         "--log", str(log)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {line.split()[0]} must be finite and at least 0" in captured.err
+        assert "iter" not in captured.out
         assert not ckpt.exists() and not log.exists()
 
     def test_train_rejects_negative_iterations_flag(self, tmp_path, capsys):

@@ -360,9 +360,9 @@ class TestPrefixRegret:
         calls = count_evaluations(monkeypatch, NetworkMechanism)
         rows, forward = [], net.forward_batch
 
-        def counted(params, dims, x, beta):
+        def counted(params, dims, x):
             rows.append(x.shape[0])
-            return forward(params, dims, x, beta)
+            return forward(params, dims, x)
 
         monkeypatch.setattr(net, "forward_batch", counted)
         metrics.regret_profile(mech, example1)

@@ -9,11 +9,13 @@ import pytest
 from matchfrontier import metrics, net
 from matchfrontier.net import (LEAKY_SLOPE, CheckpointError, NetworkDims,
                                NetworkMechanism, NumericOverflowError,
-                               _variant_inputs, build_mask,
-                               forward_batch, init_params, layer_shapes,
-                               load_checkpoint, misreport_tables, save_checkpoint)
+                               _variant_inputs, forward_batch, init_params,
+                               layer_shapes, load_checkpoint, misreport_tables,
+                               network_input, save_checkpoint)
 from matchfrontier.prefs import (DistributionConfig, DistributionKind, encode,
                                  encode_arrays, parse_profile, sample_profiles)
+
+from conftest import reference_build_mask
 
 
 def random_profiles(count, n=4, m=4, seed=0):
@@ -22,9 +24,14 @@ def random_profiles(count, n=4, m=4, seed=0):
     return sample_profiles(cfg, count)
 
 
+def zero_params(dims):
+    return [(np.zeros(w), np.zeros(b)) for w, b in layer_shapes(dims)]
+
+
 def reference_forward(params, dims, x, beta):
-    """The forward pass written plainly, one finite check per layer: the
-    reference forward_batch must reproduce bit for bit."""
+    """The forward pass written plainly, one finite check per layer, with
+    the (rows, n+1, m+1) masks beta of `profile_inputs`: the reference
+    forward_batch must reproduce bit for bit."""
     n, m = dims.n, dims.m
     h = x
     for layer, (weight, bias) in enumerate(params[:-1]):
@@ -90,11 +97,16 @@ class TestInit:
 
 class TestMask:
     def test_mutual_acceptability(self):
+        # the kernel reads the mask off the encoded input
         profile = parse_profile("f1,_,f2|w1,_;_,w1")
-        beta = build_mask(profile)
-        assert beta[0, 0] == 1.0   # mutually acceptable
-        assert beta[0, 1] == 0.0   # w1 rejects f2 and f2 rejects w1
-        assert np.all(beta[1, :] == 1.0) and np.all(beta[:, 2] == 1.0)
+        x, _ = profile_inputs([profile])
+        accept = net.acceptable_pairs(x, 1, 2)
+        assert accept.dtype == bool
+        assert accept[0, 0, 0]       # mutually acceptable
+        assert not accept[0, 0, 1]   # w1 rejects f2 and f2 rejects w1
+        dims = NetworkDims(1, 2, R=1, J=4)
+        r = forward_batch(init_params(dims, seed=1), dims, x)
+        assert r[0, 0, 0] > 0.0 and r[0, 0, 1] == 0.0
 
 
 class TestForward:
@@ -102,14 +114,12 @@ class TestForward:
         # softplus(0) constant scores, column norm over n+1, row norm over
         # m+1, min of two 1/5 tensors
         dims = NetworkDims(4, 4, R=4, J=16)
-        params = init_params(dims, 0, zero=True)
-        r = forward_batch(params, dims, np.zeros((1, 32)), np.ones((1, 5, 5)))
+        r = forward_batch(zero_params(dims), dims, np.ones((1, 32)))
         assert np.allclose(r, 0.2, atol=1e-12)
 
     def test_zero_params_1x1(self):
         dims = NetworkDims(1, 1, R=2, J=4)
-        r = forward_batch(init_params(dims, 0, zero=True), dims,
-                          np.zeros((1, 2)), np.ones((1, 2, 2)))
+        r = forward_batch(zero_params(dims), dims, np.ones((1, 2)))
         assert np.allclose(r, 0.5, atol=1e-12)
 
     def test_masked_pairs_exactly_zero(self):
@@ -117,7 +127,7 @@ class TestForward:
         params = init_params(dims, seed=1)
         mech = NetworkMechanism(params, dims)
         for profile in random_profiles(20, n=3, m=3, seed=7):
-            beta = build_mask(profile)
+            beta = reference_build_mask(profile)
             r = mech.evaluate(profile).r
             assert np.all(r[beta[:3, :3] == 0.0] == 0.0)
 
@@ -146,10 +156,10 @@ class TestForward:
 
     def test_overflow_detected(self):
         dims = NetworkDims(2, 2, R=2, J=4)
-        params = init_params(dims, 0, zero=True)
+        params = zero_params(dims)
         params[0] = (np.full_like(params[0][0], 1e300), params[0][1])
         with pytest.raises(NumericOverflowError) as info:
-            forward_batch(params, dims, np.full((1, 8), 1e300), np.ones((1, 3, 3)))
+            forward_batch(params, dims, np.full((1, 8), 1e300))
         assert info.value.layer == 0
 
     @pytest.mark.parametrize("layer", [1, 2, 3])
@@ -160,7 +170,7 @@ class TestForward:
         params = [(np.ones(w), np.zeros(b)) for w, b in layer_shapes(dims)]
         params[layer] = (np.full_like(params[layer][0], 1e307), params[layer][1])
         with pytest.raises(NumericOverflowError) as info:
-            forward_batch(params, dims, np.ones((2, 8)), np.ones((2, 3, 3)))
+            forward_batch(params, dims, np.ones((2, 8)))
         assert info.value.layer == layer
 
     # 9x8 makes the normalizing sums long enough for pairwise summation;
@@ -178,20 +188,19 @@ class TestForward:
         dims = NetworkDims(n, m, R=R, J=J)
         params = [(3.0 * w, b + 0.1) for w, b in init_params(dims, seed=n * m)]
         x, beta = profile_inputs(random_profiles(rows, n=n, m=m, seed=n + m))
-        got = forward_batch(params, dims, x, beta)
+        got = forward_batch(params, dims, x)
         assert got.tobytes() == reference_forward(params, dims, x, beta).tobytes()
 
     def test_inputs_unchanged(self):
-        # the forward works in place on its own buffers, never on x or beta
+        # the forward works in place on its own buffers, never on x
         dims = NetworkDims(3, 3, R=4, J=64)
-        x, beta = profile_inputs(random_profiles(16, n=3, m=3, seed=2))
-        x_copy, beta_copy = x.copy(), beta.copy()
-        forward_batch(init_params(dims, seed=4), dims, x, beta)
+        x, _ = profile_inputs(random_profiles(16, n=3, m=3, seed=2))
+        x_copy = x.copy()
+        forward_batch(init_params(dims, seed=4), dims, x)
         assert x.tobytes() == x_copy.tobytes()
-        assert beta.tobytes() == beta_copy.tobytes()
 
 
-def objective_grads(params, dims, x, beta, g, h=1e-6):
+def objective_grads(params, dims, x, g, h=1e-6):
     """Central differences of sum(g * forward_batch) in every parameter."""
     grads = []
     for group in params:
@@ -204,7 +213,7 @@ def objective_grads(params, dims, x, beta, g, h=1e-6):
                 sides = []
                 for bumped in (orig + h, orig - h):
                     flat[i] = bumped
-                    sides.append(float((g * forward_batch(params, dims, x, beta)).sum()))
+                    sides.append(float((g * forward_batch(params, dims, x)).sum()))
                 flat[i] = orig
                 fd_flat[i] = (sides[0] - sides[1]) / (2 * h)
             pair.append(fd)
@@ -230,10 +239,10 @@ def kink_margins(params, dims, x, beta):
     return closest, float(np.abs(gap[beta[:, :n, :m] > 0.0]).min())
 
 
-def vjp_grads(params, dims, x, beta, g):
+def vjp_grads(params, dims, x, g):
     saved = []
-    net._forward_rows(params, dims, x, beta, saved)
-    return net.forward_vjp(params, dims, beta, saved, g)
+    net._forward_rows(params, dims, x, saved)
+    return net.forward_vjp(params, dims, saved, g)
 
 
 class TestForwardVJP:
@@ -247,8 +256,8 @@ class TestForwardVJP:
         g = rng.normal(size=(5, n, m))
         # no leaky-ReLU or min kink within reach of the differences' steps
         assert min(kink_margins(params, dims, x, beta)) > 1e-4
-        got = vjp_grads(params, dims, x, beta, g)
-        for got_group, fd_group in zip(got, objective_grads(params, dims, x, beta, g)):
+        got = vjp_grads(params, dims, x, g)
+        for got_group, fd_group in zip(got, objective_grads(params, dims, x, g)):
             for arr, fd in zip(got_group, fd_group):
                 assert arr.shape == fd.shape
                 assert np.allclose(arr, fd, rtol=1e-6, atol=1e-8)
@@ -258,12 +267,12 @@ class TestForwardVJP:
     def test_saving_leaves_output_unchanged(self, n, m, R, J, rows):
         dims = NetworkDims(n, m, R=R, J=J)
         params = [(3.0 * w, b + 0.1) for w, b in init_params(dims, seed=rows)]
-        x, beta = profile_inputs(random_profiles(rows, n=n, m=m, seed=R))
+        x, _ = profile_inputs(random_profiles(rows, n=n, m=m, seed=R))
         saved = []
-        r = net._forward_rows(params, dims, x, beta, saved).tobytes()
+        r = net._forward_rows(params, dims, x, saved).tobytes()
         assert len(saved) == R + 5
-        assert r == net._forward_rows(params, dims, x, beta).tobytes()
-        assert r == forward_batch(params, dims, x, beta).tobytes()
+        assert r == net._forward_rows(params, dims, x).tobytes()
+        assert r == forward_batch(params, dims, x).tobytes()
 
     def test_leaky_relu_kink_takes_slope(self):
         # zero first-layer parameters put every hidden pre-activation at 0
@@ -271,8 +280,8 @@ class TestForwardVJP:
         rng = np.random.default_rng(5)
         params = [(np.zeros((4, 8)), np.zeros(4)),
                   (rng.normal(size=(12, 4)), rng.normal(size=12))]
-        x, beta = profile_inputs(random_profiles(1, n=2, m=2, seed=3))
-        grads = vjp_grads(params, dims, x, beta, rng.normal(size=(1, 2, 2)))
+        x, _ = profile_inputs(random_profiles(1, n=2, m=2, seed=3))
+        grads = vjp_grads(params, dims, x, rng.normal(size=(1, 2, 2)))
         g_scores = grads[1][1]  # one row: the output bias's gradient is the scores'
         expected = LEAKY_SLOPE * (g_scores @ params[1][0])
         assert np.any(expected != 0.0)
@@ -283,12 +292,11 @@ class TestForwardVJP:
         # zero parameters and a square all-acceptable market: both
         # normalizations give exactly 1/(n+1) everywhere
         dims = NetworkDims(3, 3, R=2, J=4)
-        params = init_params(dims, 0, zero=True)
-        x, beta = np.zeros((2, 18)), np.ones((2, 4, 4))
+        params = zero_params(dims)
         saved = []
-        assert np.all(net._forward_rows(params, dims, x, beta, saved) == 0.25)
+        assert np.all(net._forward_rows(params, dims, np.ones((2, 18)), saved) == 0.25)
         g = np.random.default_rng(6).normal(size=(2, 3, 3))
-        g_scores = net.forward_vjp(params, dims, beta, saved, g)[-1][1]
+        g_scores = net.forward_vjp(params, dims, saved, g)[-1][1]
         split = 4 * 3
         assert np.all(g_scores[split:] == 0.0)
         assert np.all(g_scores[:split] != 0.0)
@@ -297,14 +305,13 @@ class TestForwardVJP:
         # output scores of +800 and -800 alternate, so every normalization
         # has a positive sum; the slope is 1 at +800 and 0 at -800
         dims = NetworkDims(3, 3, R=1, J=4)
-        params = init_params(dims, 0, zero=True)
+        params = zero_params(dims)
         signs = np.where(np.arange(dims.output_width) % 2 == 0, 1.0, -1.0)
         params[-1] = (params[-1][0], 800.0 * signs)
-        x, beta = np.zeros((1, 18)), np.ones((1, 4, 4))
         saved = []
-        assert np.all(np.isfinite(net._forward_rows(params, dims, x, beta, saved)))
+        assert np.all(np.isfinite(net._forward_rows(params, dims, np.ones((1, 18)), saved)))
         g = np.random.default_rng(7).normal(size=(1, 3, 3))
-        grads = net.forward_vjp(params, dims, beta, saved, g)
+        grads = net.forward_vjp(params, dims, saved, g)
         assert all(np.all(np.isfinite(arr)) for group in grads for arr in group)
         assert np.all(grads[-1][1][signs < 0] == 0.0)
         assert np.any(grads[-1][1][signs > 0] != 0.0)
@@ -329,12 +336,11 @@ class TestForwardSplit:
         dist = DistributionConfig(DistributionKind.CORRELATED, 4, 4, p_corr=0.25,
                                   p_trunc=0.2, seed=3)
         P, Q, _ = encode_arrays(sample_profiles(dist, 2), 4, 4)
-        X = np.concatenate([P.reshape(2, -1), Q.reshape(2, -1)], axis=1)
-        Xv, Bv, _ = _variant_inputs(X, dims, misreport_tables(dims))
+        Xv, _ = _variant_inputs(network_input(P, Q, dims), dims, misreport_tables(dims))
         assert Xv.shape[0] == 1_536
         params = init_params(dims, seed=5)
-        expected = net._forward_rows(params, dims, Xv, Bv)
-        assert forward_batch(params, dims, Xv, Bv).tobytes() == expected.tobytes()
+        expected = net._forward_rows(params, dims, Xv)
+        assert forward_batch(params, dims, Xv).tobytes() == expected.tobytes()
 
     # all-ones weights on 2x2 inputs of ones give activations 8, 32, 128 and
     # 512 by layer; one row of 1e307 overflows at layer 1, of 1e306 at the
@@ -346,7 +352,7 @@ class TestForwardSplit:
         x = np.ones((3 * 1024, 8))
         x[-1] = value
         with pytest.raises(NumericOverflowError) as info:
-            forward_batch(params, dims, x, np.ones((x.shape[0], 3, 3)))
+            forward_batch(params, dims, x)
         assert info.value.layer == layer
 
     def test_helpers_run_with_blas_on_one_thread(self):
@@ -368,10 +374,10 @@ class TestForwardSplit:
             pytest.skip("no fork on this platform")
         dims = NetworkDims(2, 2, R=1, J=4)
         params = init_params(dims, seed=1)
-        x, beta = np.ones((2048, 8)), np.ones((2048, 3, 3))
-        forward_batch(params, dims, x, beta)
+        x = np.ones((2048, 8))
+        forward_batch(params, dims, x)
         child = multiprocessing.get_context("fork").Process(
-            target=forward_batch, args=(params, dims, x, beta))
+            target=forward_batch, args=(params, dims, x))
         child.start()
         child.join(timeout=60)
         hung = child.is_alive()
@@ -384,7 +390,7 @@ class TestForwardSplit:
         # most 50 rows), whose bits differ; 2,052 rows once left a 4-row tail
         sizes = []
 
-        def rows(params, dims, x, beta):
+        def rows(params, dims, x):
             sizes.append(x.shape[0])
             return np.zeros((x.shape[0], dims.n, dims.m))
 
@@ -392,7 +398,7 @@ class TestForwardSplit:
         dims = NetworkDims(2, 2, R=1, J=4)
         for total in (1, 50, 1024, 1025, 1075, 2048, 2049, 2052, 3073, 13_824):
             sizes.clear()
-            out = forward_batch(None, dims, np.zeros((total, 8)), np.zeros((total, 3, 3)))
+            out = forward_batch(None, dims, np.zeros((total, 8)))
             assert out.shape == (total, 2, 2)
             assert sum(sizes) == total
             assert len(sizes) == -(-total // 1024)
@@ -401,10 +407,11 @@ class TestForwardSplit:
 
 
 def profile_inputs(profiles):
-    """Network inputs (rows, 2nm) and masks (rows, n+1, m+1) of profiles."""
+    """Network inputs (rows, 2nm) and reference masks (rows, n+1, m+1) of
+    profiles, each built without net."""
     x = np.stack([np.concatenate([e.p.reshape(-1), e.q.reshape(-1)])
                   for e in map(encode, profiles)])
-    return x, np.stack([build_mask(p) for p in profiles])
+    return x, np.stack([reference_build_mask(p) for p in profiles])
 
 
 class TestCheckpoint:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matchfrontier.net import NetworkDims, build_mask
+from matchfrontier.net import NetworkDims, acceptable_pairs
 from matchfrontier.prefs import (BOTTOM, DistributionConfig, DistributionKind,
                                  EnumerationCapError, PreferenceOrder,
                                  PreferenceProfile, Side, encode,
@@ -98,8 +98,9 @@ def _assert_same(got, expected):
 
 
 class TestOneEncoder:
-    """encode, encode_order, build_mask and _Batch all come from the one
-    rank-array encoder and must equal the old loops bit for bit."""
+    """encode, encode_order and _Batch all come from the one rank-array
+    encoder and must equal the old loops bit for bit, and the network's
+    mask, read off the encoding, must equal the old mask loop."""
 
     @pytest.mark.parametrize("n,m", SHAPES)
     @pytest.mark.parametrize("sample", SAMPLES)
@@ -110,7 +111,9 @@ class TestOneEncoder:
             enc = encode(profile)
             _assert_same(enc.p, p)
             _assert_same(enc.q, q)
-            _assert_same(build_mask(profile), reference_build_mask(profile))
+            x = np.concatenate([enc.p.reshape(1, -1), enc.q.reshape(1, -1)], axis=1)
+            _assert_same(acceptable_pairs(x, n, m)[0],
+                         reference_build_mask(profile)[:n, :m] == 1.0)
             for order in profile.workers:
                 _assert_same(encode_order(order, m), reference_encode_order(order, m))
 
@@ -122,14 +125,14 @@ class TestOneEncoder:
         refs = [reference_encode(p) for p in profiles]
         _assert_same(batch.P, np.stack([p for p, _ in refs]))
         _assert_same(batch.Q, np.stack([q for _, q in refs]))
-        _assert_same(batch.beta, np.stack([reference_build_mask(p) for p in profiles]))
+        _assert_same(acceptable_pairs(batch.X, n, m),
+                     np.stack([reference_build_mask(p)[:n, :m] == 1.0 for p in profiles]))
 
     def test_wrong_size_names_both_sizes(self):
         # a worker order over 2 firms in a market of 3 firms
         profile = PreferenceProfile((order(0, 1, BOTTOM),),
                                     tuple(order(0, BOTTOM) for _ in range(3)))
-        for call in (lambda: encode(profile), lambda: build_mask(profile),
-                     lambda: encode_order(order(0, 1, BOTTOM), 3),
+        for call in (lambda: encode(profile), lambda: encode_order(order(0, 1, BOTTOM), 3),
                      lambda: _Batch([profile], NetworkDims(1, 3, R=1, J=2))):
             with pytest.raises(ValueError, match="order ranks 2 partners, expected 3"):
                 call()

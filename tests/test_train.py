@@ -21,7 +21,7 @@ from matchfrontier.train import (HELDOUT_LANE, TrainConfig, _Batch, _defeat_inpu
                                  _loss_node, _search_defeating, _variant_inputs,
                                  loss_minibatch, misreport_tables, train)
 
-from conftest import reference_build_mask, reference_encode
+from conftest import reference_encode
 
 train_module = sys.modules["matchfrontier.train"]
 
@@ -153,10 +153,9 @@ def pinned_loss_inputs(n, m, kind, p_corr, lam):
     batch = _Batch(profiles, dims)
     variants = _variant_inputs(batch.X, dims, misreport_tables(dims))
     best_k, best_th = loss_minibatch(pinned_at, dims, profiles, lam).selection
-    X_def, beta_def, ind_sel = _defeat_inputs(batch, dims, variants, best_k, best_th)
-    r_t = net.forward_batch(params, dims, batch.X, batch.beta)
-    r_d = net.forward_batch(params, dims, X_def.reshape(-1, X_def.shape[2]),
-                            beta_def.reshape(-1, n + 1, m + 1))
+    X_def, ind_sel = _defeat_inputs(batch, dims, variants, best_k, best_th)
+    r_t = net.forward_batch(params, dims, batch.X)
+    r_d = net.forward_batch(params, dims, X_def.reshape(-1, X_def.shape[2]))
     return batch, best_k, ind_sel, r_t, r_d
 
 
@@ -178,12 +177,10 @@ def reference_batch(profiles, dims):
     TH = max(n, m)
     P = np.empty((B, n, m))
     Q = np.empty((B, n, m))
-    beta = np.empty((B, n + 1, m + 1))
     ind = np.zeros((B, A, TH, n, m))
     thr_valid = np.zeros((B, A, TH), dtype=bool)
     for b, profile in enumerate(profiles):
         P[b], Q[b] = reference_encode(profile)
-        beta[b] = reference_build_mask(profile)
         for w, order in enumerate(profile.workers):
             for t, threshold in enumerate(order.acceptable()):
                 for f in range(m):
@@ -197,7 +194,7 @@ def reference_batch(profiles, dims):
                         ind[b, n + f, t, w, f] = 1.0
                 thr_valid[b, n + f, t] = True
     X = np.concatenate([P.reshape(B, -1), Q.reshape(B, -1)], axis=1)
-    return dict(P=P, Q=Q, beta=beta, ind=ind, thr_valid=thr_valid, X=X)
+    return dict(P=P, Q=Q, ind=ind, thr_valid=thr_valid, X=X)
 
 
 class TestBatch:
@@ -230,7 +227,6 @@ def reference_defeat_inputs(batch, dims, tables, best_k, best_th):
     A = n + m
     table_w, table_f = tables
     X_def = np.repeat(batch.X, A, axis=0).reshape(B, A, -1)
-    beta_def = np.repeat(batch.beta, A, axis=0).reshape(B, A, n + 1, m + 1)
     ind_sel = np.zeros((B, A, n, m))
     for b in range(B):
         for a in range(A):
@@ -241,12 +237,10 @@ def reference_defeat_inputs(batch, dims, tables, best_k, best_th):
             if a < n:
                 w = a
                 X_def[b, a, w * m:(w + 1) * m] = table_w.rows[k]
-                beta_def[b, a, w, :m] = (table_w.rows[k] > 0.0) & (batch.Q[b, w, :] > 0.0)
             else:
                 f = a - n
                 X_def[b, a, n * m + np.arange(n) * m + f] = table_f.rows[k]
-                beta_def[b, a, :n, f] = (table_f.rows[k] > 0.0) & (batch.P[b, :, f] > 0.0)
-    return X_def, beta_def, ind_sel
+    return X_def, ind_sel
 
 
 class TestDefeatInputs:
@@ -259,7 +253,7 @@ class TestDefeatInputs:
         batch = _Batch(profiles, dims)
         tables = misreport_tables(dims)
         params = init_params(dims, seed=3)
-        r_truth = net.forward_batch(params, dims, batch.X, batch.beta)
+        r_truth = net.forward_batch(params, dims, batch.X)
         variants = _variant_inputs(batch.X, dims, tables)
         searched = _search_defeating(params, dims, batch, variants, r_truth)[:2]
         # a random selection also reaches misreports the search never picks
@@ -279,7 +273,7 @@ class TestDefeatInputs:
 def search(params, dims, profiles):
     """_search_defeating's (best_k, best_gain) on a batch of profiles."""
     batch = _Batch(profiles, dims)
-    r_truth = net.forward_batch(params, dims, batch.X, batch.beta)
+    r_truth = net.forward_batch(params, dims, batch.X)
     variants = _variant_inputs(batch.X, dims, misreport_tables(dims))
     best_k, _, best_gain = _search_defeating(params, dims, batch, variants, r_truth)
     return best_k, best_gain
@@ -346,9 +340,9 @@ class TestPrunedTables:
         B = 8
         batch = _Batch(sample_profiles(dist, B), dims)
         table_w, table_f = tables = full_tables(dims)
-        Xv, Bv, (Kw, Kf) = _variant_inputs(batch.X, dims, tables)
+        Xv, (Kw, Kf) = _variant_inputs(batch.X, dims, tables)
         assert (Kw, Kf) == (len(table_w.orders), len(table_f.orders))
-        r = net.forward_batch(init_params(dims, seed=2), dims, Xv, Bv)
+        r = net.forward_batch(init_params(dims, seed=2), dims, Xv)
         r = r.reshape(B, n * Kw + m * Kf, n, m)
         empty_w = np.setdiff1d(np.arange(Kw), kept(table_w))
         empty_f = np.setdiff1d(np.arange(Kf), kept(table_f))
@@ -366,7 +360,7 @@ class TestPrunedTables:
         dist = DistributionConfig(kind, n, m, p_corr=p_corr, p_trunc=0.5, seed=19)
         batch = _Batch(sample_profiles(dist, 16), dims)
         params = [(3.0 * w, b) for w, b in init_params(dims, seed=n + m)]
-        r_truth = net.forward_batch(params, dims, batch.X, batch.beta)
+        r_truth = net.forward_batch(params, dims, batch.X)
         full = full_tables(dims)
         full_k, full_th, full_gain = _search_defeating(
             params, dims, batch, _variant_inputs(batch.X, dims, full), r_truth)
@@ -390,13 +384,13 @@ class TestForwardChunks:
         config = traincache.desk_config(0.5, 1)
         dims = config.dims
         batch = _Batch(sample_profiles(config.dist, config.batch_size, lane=1), dims)
-        Xv, Bv, _ = _variant_inputs(batch.X, dims, misreport_tables(dims))
+        Xv, _ = _variant_inputs(batch.X, dims, misreport_tables(dims))
         assert Xv.shape[0] == 13_824
         params = init_params(dims, seed=1)
-        whole = net._forward_rows(params, dims, Xv, Bv).tobytes()
-        assert net.forward_batch(params, dims, Xv, Bv).tobytes() == whole
+        whole = net._forward_rows(params, dims, Xv).tobytes()
+        assert net.forward_batch(params, dims, Xv).tobytes() == whole
         monkeypatch.setattr(net, "_helpers", lambda: None)
-        assert net.forward_batch(params, dims, Xv, Bv).tobytes() == whole
+        assert net.forward_batch(params, dims, Xv).tobytes() == whole
 
 
 class TestTruthForward:
@@ -412,13 +406,13 @@ class TestTruthForward:
             truth.append(out.X)
             return out
 
-        def forward_batch(params, dims, x, beta):
+        def forward_batch(params, dims, x):
             calls.append(is_truth(x))
-            return plain_forward(params, dims, x, beta)
+            return plain_forward(params, dims, x)
 
-        def forward_tape(tape, param_nodes, dims, x, beta):
+        def forward_tape(tape, param_nodes, dims, x):
             calls.append(is_truth(x))
-            return tape_forward(tape, param_nodes, dims, x, beta)
+            return tape_forward(tape, param_nodes, dims, x)
 
         plain_forward, tape_forward = net.forward_batch, train_module._forward_tape
         monkeypatch.setattr(train_module, "_Batch", batch)
@@ -436,7 +430,7 @@ class TestTruthForward:
         profiles = sample_profiles(small_dist(3, 3, seed=4), 16)
         batch = _Batch(profiles, dims)
         tables = misreport_tables(dims)
-        r_plain = net.forward_batch(params, dims, batch.X, batch.beta)
+        r_plain = net.forward_batch(params, dims, batch.X)
         pinned = _search_defeating(params, dims, batch, _variant_inputs(batch.X, dims, tables),
                                    r_plain)[:2]
         build = loss_minibatch(params, dims, profiles, 0.4)
