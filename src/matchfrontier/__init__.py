@@ -7,7 +7,7 @@ from .prefs import (AgentId, DistributionConfig, DistributionKind,
 from .mechanisms import (DeterministicMatching, RandomizedMatching,
                          LiftedMechanism, MechanismKind, Proposing,
                          bvn_decompose, da, rsd_exact)
-from .metrics import EvalReport, evaluate, regret_profile, stv_profile
+from .metrics import EvalReport, evaluate, stv_profile
 from .net import NetworkDims, NetworkMechanism, load_checkpoint, save_checkpoint
 from .train import TrainConfig, train
 
@@ -18,7 +18,7 @@ __all__ = [
     "PreferenceOrder", "PreferenceProfile", "Side", "encode", "parse_profile",
     "format_profile", "sample_profiles", "DeterministicMatching",
     "RandomizedMatching", "LiftedMechanism", "MechanismKind", "Proposing",
-    "bvn_decompose", "da", "rsd_exact", "EvalReport", "evaluate", "regret_profile",
-    "stv_profile", "NetworkDims", "NetworkMechanism", "load_checkpoint",
-    "save_checkpoint", "TrainConfig", "train", "__version__",
+    "bvn_decompose", "da", "rsd_exact", "EvalReport", "evaluate", "stv_profile",
+    "NetworkDims", "NetworkMechanism", "load_checkpoint", "save_checkpoint",
+    "TrainConfig", "train", "__version__",
 ]

@@ -112,7 +112,11 @@ def resolve_settings(args) -> dict:
     if getattr(args, "iterations", None) is not None:
         settings["iterations"] = args.iterations
     if "MATCH_SEED" in os.environ:
-        settings["seed"] = int(os.environ["MATCH_SEED"])
+        text = os.environ["MATCH_SEED"]
+        try:
+            settings["seed"] = int(text)
+        except ValueError:
+            raise ConfigError(f"MATCH_SEED must be an integer, got {text!r}") from None
     check_seed(settings["seed"])
     return settings
 
@@ -137,7 +141,12 @@ def dist_from_settings(settings) -> DistributionConfig:
 def train_config_from_settings(settings, checkpoint_path, log_path="") -> TrainConfig:
     dims = NetworkDims(n=settings["n"], m=settings["m"],
                        R=settings["hidden_layers"], J=settings["hidden_units"])
-    milestones = tuple(int(x) for x in str(settings["lr_milestones"]).split(",") if x)
+    text = str(settings["lr_milestones"])
+    try:
+        milestones = tuple(int(x) for x in text.split(",") if x)
+    except ValueError:
+        raise ConfigError(f"lr_milestones must be comma-separated integers, "
+                          f"got {text!r}") from None
     return TrainConfig(lam=settings["lambda"], dims=dims,
                        dist=dist_from_settings(settings),
                        batch_size=settings["batch_size"],
@@ -271,15 +280,22 @@ def _stale_fields(settings, lam, dims, ckpt_lam, ckpt_seed) -> list:
     wanted = {"n": settings["n"], "m": settings["m"], "R": settings["hidden_layers"],
               "J": settings["hidden_units"], "lambda": round(lam * 1e6) / 1e6,
               "seed": settings["seed"]}
-    return [f"{key}={header[key]:g} (settings: {wanted[key]:g})"
+    # plain str: integers exactly, lambda as its shortest round-trip float
+    return [f"{key}={header[key]} (settings: {wanted[key]})"
             for key in header if header[key] != wanted[key]]
 
 
 def cmd_sweep(args) -> int:
     settings = resolve_settings(args)
     lambdas = [float(x) for x in args.lambdas.split(",") if x.strip() != ""]
+    if not lambdas:
+        raise ConfigError(f"--lambdas lists no lambda: {args.lambdas!r}")
     if any(not 0.0 <= lam <= 1.0 for lam in lambdas):
         raise ConfigError("every lambda must lie in [0, 1]")
+    names = [fmt(lam) for lam in lambdas]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"--lambdas repeats {', '.join(repeated)}")
     if settings["test_size"] < 1:
         # every point is evaluated on the shared held-out set: fail before training
         raise ConfigError(f"sweep needs test_size of at least 1 for its held-out set, "

@@ -38,22 +38,10 @@ def _check_dims(r: RandomizedMatching, enc: EncodedProfile) -> None:
         raise ValueError(f"marginal shape {r.r.shape} != encoding shape {enc.p.shape}")
 
 
-def stv_pair(r: RandomizedMatching, enc: EncodedProfile, w: int, f: int) -> float:
-    """Stability violation of one (worker, firm) pair: the product of the
-    firm-side and worker-side envy masses."""
-    _check_dims(r, enc)
-    g_bot_f = 1.0 - r.r[:, f].sum()
-    g_w_bot = 1.0 - r.r[w, :].sum()
-    firm_side = (r.r[:, f] * np.maximum(enc.q[w, f] - enc.q[:, f], 0.0)).sum() \
-        + g_bot_f * max(enc.q[w, f], 0.0)
-    worker_side = (r.r[w, :] * np.maximum(enc.p[w, f] - enc.p[w, :], 0.0)).sum() \
-        + g_w_bot * max(enc.p[w, f], 0.0)
-    return firm_side * worker_side
-
-
 def stv_terms(r: np.ndarray, p: np.ndarray, q: np.ndarray):
     """stv's scale 1/2 (1/m + 1/n) and, per pair, the firm-side and
-    worker-side envy masses whose product is stv_pair, for marginals r and
+    worker-side envy masses whose product is the pair's stability violation
+    (`reference_stv_pair` in tests/conftest.py), for marginals r and
     encodings p, q, all (B, n, m), with the weights the sides are linear in
     r through: dq (B, w, w', f), max(q, 0), dp (B, w, f, f'), max(p, 0)."""
     n, m = p.shape[1:]
@@ -71,7 +59,7 @@ def stv_terms(r: np.ndarray, p: np.ndarray, q: np.ndarray):
 
 def stv_batch(r: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Per-profile average stability violation, 1/2 (1/m + 1/n) times the
-    sum of stv_pair over all pairs, for marginals r and encodings p, q,
+    sum of the pairs' envy products, for marginals r and encodings p, q,
     all (B, n, m)."""
     scale, firm_side, worker_side, _ = stv_terms(r, p, q)
     return scale * (firm_side * worker_side).sum(axis=(1, 2))
@@ -90,12 +78,6 @@ def irv_batch(r: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     n, m = p.shape[1:]
     return ((r * np.maximum(-q, 0.0)).sum(axis=(1, 2)) / (2 * m)
             + (r * np.maximum(-p, 0.0)).sum(axis=(1, 2)) / (2 * n))
-
-
-def irv_profile(r: RandomizedMatching, enc: EncodedProfile) -> float:
-    """Individual-rationality violation of one profile."""
-    _check_dims(r, enc)
-    return float(irv_batch(r.r[None], enc.p[None], enc.q[None])[0])
 
 
 def threshold_sets(rank_w, cut_w, rank_f, cut_f, n: int, m: int):
@@ -169,12 +151,6 @@ def welfare_batch(r: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (r * (p + q)).sum(axis=(1, 2)) / (n + m)
 
 
-def welfare_profile(r: RandomizedMatching, enc: EncodedProfile) -> float:
-    """Expected welfare per agent of one profile."""
-    _check_dims(r, enc)
-    return float(welfare_batch(r.r[None], enc.p[None], enc.q[None])[0])
-
-
 def similarity_batch(r: np.ndarray, *matchings: np.ndarray) -> np.ndarray:
     """Per-profile agreement with deferred acceptance: the mass marginals r
     (B, n, m) put on a DA matching's pairs over its size, best of the 0/1
@@ -210,11 +186,6 @@ def entropy_batch(r: np.ndarray) -> np.ndarray:
     h_workers = -_plogp(worker_rows).sum(axis=(1, 2)) / np.log2(m)
     h_firms = -_plogp(firm_cols).sum(axis=(1, 2)) / np.log2(n)
     return h_workers / (2 * n) + h_firms / (2 * m)
-
-
-def entropy(r: RandomizedMatching) -> float:
-    """Normalized entropy per agent of one profile's marginals."""
-    return float(entropy_batch(r.r[None])[0])
 
 
 @functools.cache
@@ -306,11 +277,6 @@ def regret_gains(mech, profile: PreferenceProfile) -> np.ndarray:
     acceptable thresholds, floored at 0, workers then firms: the pass's
     regret on one profile."""
     return _block(mech, [profile], profile.n, profile.m, [0])[4][0]
-
-
-def regret_profile(mech, profile: PreferenceProfile) -> float:
-    """Two-sided average regret of one profile."""
-    return float((regret_gains(mech, profile) * side_weights(profile.n, profile.m)).sum())
 
 
 def evaluate(mech, profiles) -> EvalReport:

@@ -187,11 +187,6 @@ def encode_arrays(profiles, n: int, m: int):
     return P, np.ascontiguousarray(Q), (rank_w, cut_w, rank_f, cut_f)
 
 
-def encode_order(order: PreferenceOrder, size: int) -> np.ndarray:
-    """Encoded utility row for one order."""
-    return encode_ranks(*rank_arrays([order], size), size)[0]
-
-
 def encode(profile: PreferenceProfile) -> EncodedProfile:
     P, Q, _ = encode_arrays([profile], profile.n, profile.m)
     return EncodedProfile(p=P[0], q=Q[0])

@@ -151,46 +151,20 @@ def _loss_node(r_t, r_d, batch: _Batch, ind_sel, lam: float):
     return loss, float(stv), float(rgt)
 
 
-@dataclass
-class LossBuild:
-    tape: Tape
-    loss: "autodiff.Node"
-    param_nodes: list
-    stv: float
-    rgt: float
-    selection: tuple  # (best_k, best_th) the surrogate was built against
-
-
-def _loss_from_batch(params, dims: NetworkDims, batch: _Batch, lam: float,
-                     tables, selection=None) -> LossBuild:
+def _loss_from_batch(params, dims: NetworkDims, batch: _Batch, lam: float, tables):
+    """The loss on a batch as (tape, loss, param_nodes), its defeating
+    reports searched at the current parameters."""
     tape = Tape()
     param_nodes = [(tape.leaf(w), tape.leaf(bias)) for w, bias in params]
     # the one truth forward: the search reads the tape node's values, which
     # are _forward_rows' own, so forward_batch's for up to net._FORWARD_PART rows
     r_t = _forward_tape(tape, param_nodes, dims, batch.X)
     variants = _variant_inputs(batch.X, dims, tables)
-    if selection is None:
-        best_k, best_th, _ = _search_defeating(params, dims, batch, variants, r_t.value)
-    else:
-        best_k, best_th = selection
-
+    best_k, best_th, _ = _search_defeating(params, dims, batch, variants, r_t.value)
     X_def, ind_sel = _defeat_inputs(batch, dims, variants, best_k, best_th)
     r_d = _forward_tape(tape, param_nodes, dims, X_def.reshape(-1, X_def.shape[2]))
-    loss, stv, rgt = _loss_node(r_t, r_d, batch, ind_sel, lam)
-    return LossBuild(tape=tape, loss=loss, param_nodes=param_nodes, stv=stv, rgt=rgt,
-                     selection=(best_k, best_th))
-
-
-def loss_minibatch(params, dims: NetworkDims, profiles, lam: float,
-                   selection=None) -> LossBuild:
-    """Differentiable minibatch loss.  Defeating reports are resolved at the
-    current parameters from the tape's truth forward, or pinned by passing a
-    previous build's `selection` (useful for finite-difference checks, where
-    the argmax must not move between evaluations)."""
-    if not profiles:
-        raise ValueError("minibatch is empty")
-    return _loss_from_batch(params, dims, _Batch(profiles, dims), lam,
-                            misreport_tables(dims), selection=selection)
+    loss, _, _ = _loss_node(r_t, r_d, batch, ind_sel, lam)
+    return tape, loss, param_nodes
 
 
 def _heldout_stv_rgt(params, dims: NetworkDims, profiles):
@@ -244,19 +218,19 @@ def train(config: TrainConfig, progress=None) -> TrainResult:
                                                         lane=TRAIN_LANE))
                     for j in range(config.batch_size)]
         try:
-            build = _loss_from_batch(params, dims, _Batch(profiles, dims),
-                                     config.lam, tables)
-            backward(build.tape, build.loss)
-            grads = [(w.grad, b.grad) for w, b in build.param_nodes]
+            tape, loss, param_nodes = _loss_from_batch(params, dims, _Batch(profiles, dims),
+                                                       config.lam, tables)
+            backward(tape, loss)
+            grads = [(w.grad, b.grad) for w, b in param_nodes]
             params, state = adam_step(state, params, grads)
             # nodes and tape reference each other; break the cycle so the
             # iteration's activations and gradients are freed now, not at
             # the next full garbage collection
-            build.tape.nodes.clear()
+            tape.nodes.clear()
         except (NumericError, NumericOverflowError):
             write_log()
             raise
-        loss_window.append(float(build.loss.value))
+        loss_window.append(float(loss.value))
 
         done = it + 1
         if done == config.iterations or (config.eval_every and done % config.eval_every == 0):

@@ -63,3 +63,17 @@ def reference_build_mask(profile):
                     and profile.firms[f].is_acceptable(w)):
                 beta[w, f] = 0.0
     return beta
+
+
+def reference_stv_pair(r, enc, w, f):
+    """Stability violation of one (worker, firm) pair of marginals r (a
+    RandomizedMatching) under encodings enc: the product of the firm-side
+    and worker-side envy masses, the per-pair formula `metrics.stv_terms`
+    vectorizes."""
+    g_bot_f = 1.0 - r.r[:, f].sum()
+    g_w_bot = 1.0 - r.r[w, :].sum()
+    firm_side = (r.r[:, f] * np.maximum(enc.q[w, f] - enc.q[:, f], 0.0)).sum() \
+        + g_bot_f * max(enc.q[w, f], 0.0)
+    worker_side = (r.r[w, :] * np.maximum(enc.p[w, f] - enc.p[w, :], 0.0)).sum() \
+        + g_w_bot * max(enc.p[w, f], 0.0)
+    return firm_side * worker_side

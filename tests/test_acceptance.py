@@ -21,11 +21,12 @@ from matchfrontier.net import (NetworkDims, NetworkMechanism, forward_batch,
                                misreport_tables)
 from matchfrontier.prefs import (BOTTOM, AgentId, DistributionConfig,
                                  DistributionKind, PreferenceOrder, Side,
-                                 encode, encode_arrays, encode_order,
+                                 encode, encode_arrays, encode_ranks, rank_arrays,
                                  sample_profiles)
-from matchfrontier.train import (HELDOUT_LANE, _Batch, _heldout_stv_rgt, _loss_from_batch,
-                                 loss_minibatch)
-from matchfrontier.autodiff import backward
+from matchfrontier.train import (HELDOUT_LANE, _Batch, _defeat_inputs, _heldout_stv_rgt,
+                                 _loss_from_batch, _loss_node, _search_defeating,
+                                 _variant_inputs)
+from matchfrontier.autodiff import Tape, backward
 
 from conftest import EXAMPLE1_TEXT, RSD_EXPECTED, reference_build_mask
 
@@ -78,12 +79,9 @@ def rsd_heldout_stats(desk_heldout):
     stats = {}
     for seed in DESK_SEEDS:
         profiles = desk_heldout[seed]
-        total = 0.0
-        for profile in profiles:
-            enc = encode(profile)
-            r = rsd_exact(profile)
-            total += metrics.stv_profile(r, enc) + metrics.irv_profile(r, enc)
-        stats[seed] = total / len(profiles)
+        P, Q, _ = encode_arrays(profiles, 3, 3)
+        r = np.stack([rsd_exact(profile).r for profile in profiles])
+        stats[seed] = float(np.mean(metrics.stv_batch(r, P, Q) + metrics.irv_batch(r, P, Q)))
     return stats
 
 
@@ -92,9 +90,8 @@ def da_best_rgt_seed1(desk_heldout):
     profiles = desk_heldout[1]
     best = math.inf
     for kind in (MechanismKind.WDA, MechanismKind.FDA):
-        mech = LiftedMechanism(kind)
-        rgt = float(np.mean([metrics.regret_profile(mech, p) for p in profiles]))
-        best = min(best, rgt)
+        rgt = metrics.profile_metrics(LiftedMechanism(kind), profiles)["rgt"]
+        best = min(best, float(np.mean(rgt)))
     return best
 
 
@@ -103,14 +100,13 @@ def da_best_rgt_seed1(desk_heldout):
 class TestAcceptance:
     def test_01_encoding_fidelity(self):
         rows = [
-            (encode_order(PreferenceOrder((0, 1, BOTTOM, 2)), 3),
-             [2 / 3, 1 / 3, -1 / 3]),
-            (encode_order(PreferenceOrder((0, 1, BOTTOM, 2, 3)), 4),
-             [2 / 4, 1 / 4, -1 / 4, -2 / 4]),
-            (encode_order(PreferenceOrder((1, 0, 2, BOTTOM)), 3),
-             [2 / 3, 1.0, 1 / 3]),
+            (PreferenceOrder((0, 1, BOTTOM, 2)), [2 / 3, 1 / 3, -1 / 3]),
+            (PreferenceOrder((0, 1, BOTTOM, 2, 3)), [2 / 4, 1 / 4, -1 / 4, -2 / 4]),
+            (PreferenceOrder((1, 0, 2, BOTTOM)), [2 / 3, 1.0, 1 / 3]),
         ]
-        worst = max(np.max(np.abs(got - np.asarray(want))) for got, want in rows)
+        worst = max(np.max(np.abs(encode_ranks(*rank_arrays([order], len(want)), len(want))[0]
+                                  - np.asarray(want)))
+                    for order, want in rows)
         report(1, "encoding fidelity", worst <= 1e-15, f"max err {worst:.2e}")
         assert worst <= 1e-15
 
@@ -173,7 +169,8 @@ class TestAcceptance:
         enc = encode(example1)
         r = RandomizedMatching(RSD_EXPECTED)
         stv = metrics.stv_profile(r, enc)
-        pair = metrics.stv_pair(r, enc, 1, 1)
+        _, firm_side, worker_side, _ = metrics.stv_terms(r.r[None], enc.p[None], enc.q[None])
+        pair = firm_side[0, 1, 1] * worker_side[0, 1, 1]
         # independent scalar oracle: raw sums straight from the definitions
         q, p = enc.q, enc.p
         firm_mass = sum(r.r[i, 1] * max(q[1, 1] - q[i, 1], 0.0) for i in range(3)) \
@@ -200,14 +197,13 @@ class TestAcceptance:
             X = np.stack([np.concatenate([e.p.reshape(-1), e.q.reshape(-1)])
                           for e in map(encode, profiles)])
             betas = np.stack([reference_build_mask(p) for p in profiles])
+            P, Q, _ = encode_arrays(profiles, 4, 4)
             r = forward_batch(params, dims, X)
             worst_sum = max(worst_sum, float(r.sum(axis=1).max()),
                             float(r.sum(axis=2).max()))
             worst_neg = min(worst_neg, float(r.min()))
             masked_clean &= bool(np.all(r[betas[:, :4, :4] == 0.0] == 0.0))
-            for b, profile in enumerate(profiles):
-                irv_zero &= metrics.irv_profile(RandomizedMatching(r[b]),
-                                                encode(profile)) == 0.0
+            irv_zero &= bool(np.all(metrics.irv_batch(r, P, Q) == 0.0))
         ok = worst_sum <= 1 + 1e-6 and worst_neg >= 0.0 and masked_clean and irv_zero
         report(7, "network output invariants", ok,
                f"max margin sum {worst_sum:.8f}, min entry {worst_neg:.1e}")
@@ -239,18 +235,22 @@ class TestAcceptance:
             profiles = sample_profiles(cfg, 2)
             lam = (draw % 5) / 4.0
             params = init_params(dims, seed=900 + draw)
-            build = loss_minibatch(params, dims, profiles, lam)
-            backward(build.tape, build.loss)
-            grads = [tuple(p.grad for p in group) for group in build.param_nodes]
-            # the draw's batch and misreport tables, built once for its
-            # thousands of loss evaluations
             batch, tables = _Batch(profiles, dims), misreport_tables(dims)
+            tape, loss, param_nodes = _loss_from_batch(params, dims, batch, lam, tables)
+            backward(tape, loss)
+            grads = [tuple(p.grad for p in group) for group in param_nodes]
+            # pin the defeating-report selection: the loss differentiates
+            # through the marginals only, never through the argmax
+            variants = _variant_inputs(batch.X, dims, tables)
+            best_k, best_th, _ = _search_defeating(params, dims, batch, variants,
+                                                   forward_batch(params, dims, batch.X))
+            X_def, ind_sel = _defeat_inputs(batch, dims, variants, best_k, best_th)
+            X_def = X_def.reshape(-1, X_def.shape[2])
 
             def loss_at(bumped):
-                # pin the defeating-report selection: the loss differentiates
-                # through the marginals only, never through the argmax
-                return float(_loss_from_batch(bumped, dims, batch, lam, tables,
-                                              selection=build.selection).loss.value)
+                tape = Tape()
+                r_t, r_d = (tape.leaf(forward_batch(bumped, dims, x)) for x in (batch.X, X_def))
+                return float(_loss_node(r_t, r_d, batch, ind_sel, lam)[0].value)
 
             for li, group in enumerate(params):
                 for pj, arr in enumerate(group):
@@ -366,7 +366,7 @@ class TestAcceptance:
             rs = mech.evaluate_many(profiles)
             sims.append(float(np.mean([metrics.similarity(r, p)
                                        for r, p in zip(rs, profiles)])))
-            ents.append(float(np.mean([metrics.entropy(r) for r in rs])))
+            ents.append(float(np.mean(metrics.entropy_batch(np.stack([r.r for r in rs])))))
 
         def spearman(x, y):
             rx = np.argsort(np.argsort(x)).astype(float)

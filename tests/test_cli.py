@@ -11,7 +11,7 @@ import matchfrontier
 from matchfrontier import cli, metrics, prefs
 from matchfrontier.mechanisms import LiftedMechanism, MechanismKind, parse_matching
 from matchfrontier.net import NetworkDims, init_params, save_checkpoint
-from matchfrontier.prefs import (DistributionConfig, DistributionKind, encode,
+from matchfrontier.prefs import (DistributionConfig, DistributionKind, encode_arrays,
                                  read_profiles, sample_profiles, write_profiles)
 
 TINY_CFG = """\
@@ -90,6 +90,13 @@ class TestSeedOverride:
         cli.main(["gen", "--config", tiny_cfg, "--count", "4", "--out", str(out_c)])
         assert out_a.read_text() != out_b.read_text()
         assert out_b.read_text() == out_c.read_text()
+
+    def test_match_seed_not_an_integer(self, tmp_path, tiny_cfg, monkeypatch, capsys):
+        out = tmp_path / "p.txt"
+        monkeypatch.setenv("MATCH_SEED", "abc")
+        assert cli.main(["gen", "--config", tiny_cfg, "--count", "1", "--out", str(out)]) == 1
+        assert "error: MATCH_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSeedRange:
@@ -407,6 +414,14 @@ class TestSettingsRange:
 
 
 class TestTrainCommand:
+    def test_bad_lr_milestones_named(self, tmp_path, capsys):
+        cfg, ckpt = tmp_path / "bad.cfg", tmp_path / "run.ckpt"
+        cfg.write_text(TINY_CFG + "lr_milestones = 10,x\n")
+        assert cli.main(["train", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 1
+        assert "error: lr_milestones must be comma-separated integers, got '10,x'" \
+            in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_writes_checkpoint_and_log(self, tmp_path, tiny_cfg):
         ckpt = tmp_path / "run.ckpt"
         log = tmp_path / "run.log"
@@ -441,16 +456,28 @@ class TestSweep:
         from matchfrontier.train import HELDOUT_LANE
         heldout = sample_profiles(dist, merged["test_size"], lane=HELDOUT_LANE)
         mech = LiftedMechanism(MechanismKind.RSD)
-        stv = np.mean([metrics.stv_profile(mech.evaluate(p), encode(p))
-                       for p in heldout])
-        irv = np.mean([metrics.irv_profile(mech.evaluate(p), encode(p))
-                       for p in heldout])
+        P, Q, _ = encode_arrays(heldout, dist.n, dist.m)
+        r = np.stack([mech.evaluate(p).r for p in heldout])
+        stv = np.mean(metrics.stv_batch(r, P, Q))
+        irv = np.mean(metrics.irv_batch(r, P, Q))
         assert float(row[2]) == pytest.approx(stv + irv, abs=1e-9)
         assert float(row[4]) == pytest.approx(irv, abs=1e-9)
 
     def test_lambda_out_of_range(self, tmp_path, tiny_cfg):
         assert cli.main(["sweep", "--config", tiny_cfg, "--lambdas", "1.5",
                         "--out-dir", str(tmp_path / "s")]) == 1
+
+    @pytest.mark.parametrize("lambdas,message", [
+        (",", "--lambdas lists no lambda"), ("", "--lambdas lists no lambda"),
+        ("0.5,0.50", "--lambdas repeats 0.5"), ("0,1,0.0,1", "--lambdas repeats 0, 1"),
+    ], ids=["comma", "empty", "0.5-twice", "two-repeats"])
+    def test_lambda_list_rejected(self, tmp_path, tiny_cfg, capsys, lambdas, message):
+        # checked before any training: the output directory is never made
+        out_dir = tmp_path / "s"
+        assert cli.main(["sweep", "--config", tiny_cfg, "--lambdas", lambdas,
+                         "--out-dir", str(out_dir)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_failed_point_exits_nonzero(self, tmp_path, tiny_cfg):
         out_dir = tmp_path / "sweep"
@@ -494,6 +521,21 @@ class TestSweep:
         with open(out_dir / "frontier.csv") as fh:
             labels = [r[0] for r in list(csv.reader(fh))[1:]]
         assert labels == ["wda", "fda", "rsd", "da-best"]
+
+    @pytest.mark.parametrize("lam,seed,stale", [
+        (0.0, 12345678901234567, "seed=12345678901234567 (settings: 12345678901234568)"),
+        (0.1234567, 12345678901234568, "lambda=0.123457 (settings: 0.0)"),
+    ], ids=["seed", "lambda"])
+    def test_stale_fields_printed_exactly(self, tmp_path, tiny_cfg, capsys, lam, seed, stale):
+        # two seeds that differ in the last digit read differently
+        out_dir = tmp_path / "sweep"
+        out_dir.mkdir()
+        dims = NetworkDims(2, 2, R=2, J=6)
+        save_checkpoint(out_dir / "lambda_0.ckpt", init_params(dims, seed=4), dims, lam, seed)
+        assert cli.main(["sweep", "--config", tiny_cfg, "--lambdas", "0",
+                         "--seed", "12345678901234568",
+                         "--out-dir", str(out_dir)]) == cli.SWEEP_POINTS_FAILED
+        assert stale in capsys.readouterr().err
 
     def test_checkpoints_reused(self, tmp_path, tiny_cfg):
         out_dir = tmp_path / "sweep"

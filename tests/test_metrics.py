@@ -8,8 +8,10 @@ from matchfrontier.mechanisms import (LiftedMechanism, MechanismKind, Proposing,
                                       RandomizedMatching, da, rsd_exact)
 from matchfrontier.net import NetworkDims, NetworkMechanism, init_params
 from matchfrontier.prefs import (DistributionConfig, DistributionKind,
-                                 Side, encode, enumerate_misreports, parse_profile,
-                                 rank_arrays, sample_profiles)
+                                 Side, encode, encode_arrays, enumerate_misreports,
+                                 parse_profile, rank_arrays, sample_profiles)
+
+from conftest import reference_stv_pair
 
 
 def random_profiles(count, n=3, m=3, seed=0):
@@ -22,8 +24,8 @@ class TestStabilityViolation:
     def test_pair_value_on_rsd(self, example1, rsd_expected):
         # hand computation: firm f2's envy mass toward w2 is 1/6, worker
         # w2's envy mass toward f2 is 1/9, product 1/54
-        got = metrics.stv_pair(RandomizedMatching(rsd_expected),
-                               encode(example1), 1, 1)
+        got = reference_stv_pair(RandomizedMatching(rsd_expected),
+                                 encode(example1), 1, 1)
         assert got == pytest.approx(1 / 54, abs=1e-12)
 
     def test_profile_is_weighted_pair_sum(self):
@@ -32,7 +34,7 @@ class TestStabilityViolation:
         for profile in random_profiles(20, seed=21):
             enc = encode(profile)
             r = rsd_exact(profile)
-            total = sum(metrics.stv_pair(r, enc, w, f)
+            total = sum(reference_stv_pair(r, enc, w, f)
                         for w in range(profile.n) for f in range(profile.m))
             expected = 0.5 * (1 / profile.m + 1 / profile.n) * total
             assert metrics.stv_profile(r, enc) == pytest.approx(expected, abs=1e-12)
@@ -77,17 +79,23 @@ class TestStabilityViolation:
         assert np.array_equal(got, [reference(*row) for row in zip(rs, ps, qs)])
 
 
+def one_profile(kernel, r, profile):
+    """A (r, P, Q) batch kernel's value on one profile's marginals r."""
+    P, Q, _ = encode_arrays([profile], profile.n, profile.m)
+    return kernel(r[None], P, Q)[0]
+
+
 class TestIrViolation:
     def test_zero_when_mass_on_acceptable(self, example1):
-        r = da(example1, Proposing.WORKERS).to_marginals()
-        assert metrics.irv_profile(r, encode(example1)) == 0.0
+        r = da(example1, Proposing.WORKERS).to_marginals().r
+        assert one_profile(metrics.irv_batch, r, example1) == 0.0
 
     def test_hand_value(self):
         # w1 finds f2 unacceptable (p = -1/2); full mass there gives
         # (1/2) / (2n) = 1/4 from the worker side only
         profile = parse_profile("f1,_,f2|w1,_;w1,_")
-        r = RandomizedMatching(np.array([[0.0, 1.0]]))
-        assert metrics.irv_profile(r, encode(profile)) == pytest.approx(
+        r = np.array([[0.0, 1.0]])
+        assert one_profile(metrics.irv_batch, r, profile) == pytest.approx(
             0.5 / (2 * 1), abs=1e-12)
 
 
@@ -180,8 +188,7 @@ class TestRegret:
 
     def test_rsd_strategyproof(self):
         mech = LiftedMechanism(MechanismKind.RSD)
-        for profile in random_profiles(5, seed=32):
-            assert metrics.regret_profile(mech, profile) <= 1e-12
+        assert metrics.profile_metrics(mech, random_profiles(5, seed=32))["rgt"].max() <= 1e-12
 
     def test_profile_average_structure(self, example1):
         mech = LiftedMechanism(MechanismKind.WDA)
@@ -189,7 +196,8 @@ class TestRegret:
         workers, firms = gains[:3], gains[3:]
         assert gains.shape == (6,) and gains.max() > 0.0
         expected = 0.5 * (np.mean(workers) + np.mean(firms))
-        assert metrics.regret_profile(mech, example1) == pytest.approx(expected, abs=1e-12)
+        assert metrics.profile_metrics(mech, [example1])["rgt"][0] == \
+            pytest.approx(expected, abs=1e-12)
 
 
 class Delegating:
@@ -264,8 +272,6 @@ class TestPrefixRegret:
         for profile in sample_profiles(cfg, count):
             gains = metrics.regret_gains(mech, profile)
             assert gains.tolist() == metrics.regret_gains(full, profile).tolist()
-            assert metrics.regret_profile(mech, profile) == \
-                metrics.regret_profile(full, profile)
 
     @pytest.mark.parametrize("kind", EXACT_KINDS)
     def test_same_prefix_same_outcome(self, kind):
@@ -365,20 +371,19 @@ class TestPrefixRegret:
             return forward(params, dims, x)
 
         monkeypatch.setattr(net, "forward_batch", counted)
-        metrics.regret_profile(mech, example1)
+        metrics.profile_metrics(mech, [example1])
         assert calls == []
         assert rows == [1, 6 * 18]
 
 
 class TestWelfare:
     def test_example_wda(self, example1):
-        r = da(example1, Proposing.WORKERS).to_marginals()
-        assert metrics.welfare_profile(r, encode(example1)) == pytest.approx(
+        r = da(example1, Proposing.WORKERS).to_marginals().r
+        assert one_profile(metrics.welfare_batch, r, example1) == pytest.approx(
             7 / 9, abs=1e-12)
 
     def test_empty_matching_zero(self, example1):
-        r = RandomizedMatching(np.zeros((3, 3)))
-        assert metrics.welfare_profile(r, encode(example1)) == 0.0
+        assert one_profile(metrics.welfare_batch, np.zeros((3, 3)), example1) == 0.0
 
 
 class TestSimilarity:
@@ -401,24 +406,24 @@ class TestSimilarity:
 
 class TestEntropy:
     def test_deterministic_is_zero(self, example1):
-        r = da(example1, Proposing.WORKERS).to_marginals()
-        assert metrics.entropy(r) == pytest.approx(0.0, abs=1e-12)
+        r = da(example1, Proposing.WORKERS).to_marginals().r
+        assert metrics.entropy_batch(r[None])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_value(self):
         # every row and column uniform over m+1 / n+1 outcomes
         n = m = 3
-        r = RandomizedMatching(np.full((n, m), 1.0 / (m + 1)))
+        r = np.full((1, n, m), 1.0 / (m + 1))
         per_worker = np.log2(m + 1) / np.log2(m)
         per_firm = np.log2(n + 1) / np.log2(n)
         expected = per_worker / 2 + per_firm / 2
-        assert metrics.entropy(r) == pytest.approx(expected, abs=1e-12)
+        assert metrics.entropy_batch(r)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_single_agent_warns(self):
         with pytest.warns(UserWarning):
-            assert metrics.entropy(RandomizedMatching(np.zeros((1, 1)))) == 0.0
+            assert metrics.entropy_batch(np.zeros((1, 1, 1)))[0] == 0.0
 
     def test_rsd_positive(self, rsd_expected):
-        assert metrics.entropy(RandomizedMatching(rsd_expected)) > 0
+        assert metrics.entropy_batch(rsd_expected[None])[0] > 0
 
 
 class TestEvaluate:
@@ -459,7 +464,9 @@ class TestEvaluate:
             assert got[name].shape == (len(profiles),)
             assert np.abs(got[name] - expected[name]).max() <= 1e-12, name
         for i, profile in enumerate(profiles):
-            assert abs(got["rgt"][i] - metrics.regret_profile(mech, profile)) <= 1e-12
+            one = metrics.profile_metrics(mech, [profile])
+            for name in got:
+                assert abs(got[name][i] - one[name][0]) <= 1e-12, name
         report = metrics.evaluate(mech, profiles)
         reference = metrics.evaluate(Delegating(mech), profiles)
         for field in fields(metrics.EvalReport):

@@ -142,8 +142,10 @@ class TestForward:
         # masked pairs carry no mass, so irv is exactly zero
         dims = NetworkDims(4, 4, R=2, J=8)
         mech = NetworkMechanism(init_params(dims, seed=4), dims)
-        for profile in random_profiles(30, seed=10):
-            assert metrics.irv_profile(mech.evaluate(profile), encode(profile)) == 0.0
+        profiles = random_profiles(30, seed=10)
+        P, Q, _ = encode_arrays(profiles, 4, 4)
+        r = np.stack([mech.evaluate(profile).r for profile in profiles])
+        assert not metrics.irv_batch(r, P, Q).any()
 
     def test_batched_equals_single(self):
         dims = NetworkDims(3, 3, R=2, J=8)

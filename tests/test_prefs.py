@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from matchfrontier.net import NetworkDims, acceptable_pairs
 from matchfrontier.prefs import (BOTTOM, DistributionConfig, DistributionKind,
                                  EnumerationCapError, PreferenceOrder,
-                                 PreferenceProfile, Side, encode,
-                                 encode_order, enumerate_misreports,
-                                 format_profile, parse_profile, profile_stream,
+                                 PreferenceProfile, Side, encode, encode_ranks,
+                                 enumerate_misreports, format_profile,
+                                 parse_profile, profile_stream, rank_arrays,
                                  sample_order, sample_profile, sample_profiles)
 from matchfrontier.train import _Batch
 
@@ -18,6 +18,11 @@ from conftest import reference_build_mask, reference_encode, reference_encode_or
 
 def order(*ranking):
     return PreferenceOrder(tuple(ranking))
+
+
+def encode_rows(orders, size):
+    """The encoded utility rows of orders over `size` partners."""
+    return encode_ranks(*rank_arrays(orders, size), size)
 
 
 class TestPreferenceOrder:
@@ -48,26 +53,26 @@ class TestPreferenceOrder:
 class TestEncoding:
     # hand-derivable rows via the indicator-sum definition
     def test_three_firm_truncated(self):
-        assert np.allclose(encode_order(order(0, 1, BOTTOM, 2), 3),
+        assert np.allclose(encode_rows([order(0, 1, BOTTOM, 2)], 3)[0],
                            [2 / 3, 1 / 3, -1 / 3])
 
     def test_four_firm_truncated(self):
-        assert np.allclose(encode_order(order(0, 1, BOTTOM, 2, 3), 4),
+        assert np.allclose(encode_rows([order(0, 1, BOTTOM, 2, 3)], 4)[0],
                            [2 / 4, 1 / 4, -1 / 4, -2 / 4])
 
     def test_full_list(self):
-        assert np.allclose(encode_order(order(1, 0, 2, BOTTOM), 3),
+        assert np.allclose(encode_rows([order(1, 0, 2, BOTTOM)], 3)[0],
                            [2 / 3, 1.0, 1 / 3])
 
     def test_sign_encodes_acceptability(self):
         o = order(2, 0, BOTTOM, 1, 3)
-        row = encode_order(o, 4)
+        row = encode_rows([o], 4)[0]
         for j in range(4):
             assert (row[j] > 0) == o.is_acceptable(j)
 
     def test_rank_monotone(self):
         o = order(3, 1, BOTTOM, 0, 2)
-        row = encode_order(o, 4)
+        row = encode_rows([o], 4)[0]
         ordered = [x for x in o.ranking if x != BOTTOM]
         values = [row[j] for j in ordered]
         assert values == sorted(values, reverse=True)
@@ -98,7 +103,7 @@ def _assert_same(got, expected):
 
 
 class TestOneEncoder:
-    """encode, encode_order and _Batch all come from the one rank-array
+    """encode, encode_rows and _Batch all come from the one rank-array
     encoder and must equal the old loops bit for bit, and the network's
     mask, read off the encoding, must equal the old mask loop."""
 
@@ -114,8 +119,8 @@ class TestOneEncoder:
             x = np.concatenate([enc.p.reshape(1, -1), enc.q.reshape(1, -1)], axis=1)
             _assert_same(acceptable_pairs(x, n, m)[0],
                          reference_build_mask(profile)[:n, :m] == 1.0)
-            for order in profile.workers:
-                _assert_same(encode_order(order, m), reference_encode_order(order, m))
+            _assert_same(encode_rows(profile.workers, m),
+                         np.stack([reference_encode_order(o, m) for o in profile.workers]))
 
     @pytest.mark.parametrize("n,m", SHAPES)
     @pytest.mark.parametrize("sample", SAMPLES)
@@ -132,7 +137,7 @@ class TestOneEncoder:
         # a worker order over 2 firms in a market of 3 firms
         profile = PreferenceProfile((order(0, 1, BOTTOM),),
                                     tuple(order(0, BOTTOM) for _ in range(3)))
-        for call in (lambda: encode(profile), lambda: encode_order(order(0, 1, BOTTOM), 3),
+        for call in (lambda: encode(profile), lambda: encode_rows([order(0, 1, BOTTOM)], 3),
                      lambda: _Batch([profile], NetworkDims(1, 3, R=1, J=2))):
             with pytest.raises(ValueError, match="order ranks 2 partners, expected 3"):
                 call()
@@ -140,7 +145,7 @@ class TestOneEncoder:
     def test_non_permutation_rejected(self):
         bad = order(0, 5, BOTTOM)   # partner 5 in a market of 2
         with pytest.raises(ValueError, match="not a permutation"):
-            encode_order(bad, 2)
+            encode_rows([bad], 2)
         profile = PreferenceProfile((bad,), (order(0, BOTTOM), order(0, BOTTOM)))
         with pytest.raises(ValueError, match="not a permutation"):
             encode(profile)

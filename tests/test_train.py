@@ -18,8 +18,8 @@ from matchfrontier.prefs import (AgentId, DistributionConfig,
                                  enumerate_misreports, parse_profile,
                                  rank_arrays, sample_profiles)
 from matchfrontier.train import (HELDOUT_LANE, TrainConfig, _Batch, _defeat_inputs,
-                                 _loss_node, _search_defeating, _variant_inputs,
-                                 loss_minibatch, misreport_tables, train)
+                                 _loss_from_batch, _loss_node, _search_defeating,
+                                 _variant_inputs, misreport_tables, train)
 
 from conftest import reference_encode
 
@@ -40,15 +40,20 @@ def small_config(lam=0.4, seed=7, **overrides):
     return replace(base, **overrides)
 
 
+def build_loss(params, dims, profiles, lam):
+    """_loss_from_batch's (tape, loss, param_nodes) on a batch of profiles."""
+    return _loss_from_batch(params, dims, _Batch(profiles, dims), lam, misreport_tables(dims))
+
+
 class TestLossGradient:
     def test_matches_finite_differences(self):
         dims = NetworkDims(2, 2, R=2, J=6)
         dist = small_dist()
         params = init_params(dims, seed=3)
         profiles = sample_profiles(dist, 3, lane=1)
-        build = loss_minibatch(params, dims, profiles, lam=0.4)
-        backward(build.tape, build.loss)
-        grads = [tuple(p.grad for p in group) for group in build.param_nodes]
+        tape, loss, param_nodes = build_loss(params, dims, profiles, lam=0.4)
+        backward(tape, loss)
+        grads = [tuple(p.grad for p in group) for group in param_nodes]
 
         rng = np.random.default_rng(0)
         for _ in range(15):
@@ -62,24 +67,27 @@ class TestLossGradient:
                 bumped[li][pj] = params[li][pj].copy()
                 bumped[li][pj][idx] += delta
                 bumped = [tuple(group) for group in bumped]
-                return float(loss_minibatch(bumped, dims, profiles, 0.4).loss.value)
+                return float(build_loss(bumped, dims, profiles, 0.4)[1].value)
 
             fd = (loss_at(h) - loss_at(-h)) / (2 * h)
             assert grads[li][pj][idx] == pytest.approx(fd, abs=1e-7)
 
     def test_loss_is_convex_combination(self):
+        # at lambda 1 the loss is the batch's mean stv, at lambda 0 the mean
+        # of the searched regret, and in between their convex combination
         dims = NetworkDims(2, 2, R=2, J=6)
         params = init_params(dims, seed=3)
         profiles = sample_profiles(small_dist(), 3, lane=1)
-        for lam in (0.0, 0.3, 1.0):
-            build = loss_minibatch(params, dims, profiles, lam=lam)
-            expected = lam * build.stv + (1 - lam) * build.rgt
-            assert float(build.loss.value) == pytest.approx(expected, abs=1e-12)
-
-    def test_empty_batch_rejected(self):
-        dims = NetworkDims(2, 2, R=2, J=6)
-        with pytest.raises(ValueError):
-            loss_minibatch(init_params(dims, 0), dims, [], 0.5)
+        batch = _Batch(profiles, dims)
+        r_truth = net.forward_batch(params, dims, batch.X)
+        variants = _variant_inputs(batch.X, dims, misreport_tables(dims))
+        gains = _search_defeating(params, dims, batch, variants, r_truth)[2]
+        stv = metrics.stv_batch(r_truth, batch.P, batch.Q).mean()
+        rgt = (gains * metrics.side_weights(2, 2)).sum(axis=1).mean()
+        assert rgt > 0.0
+        for lam in (0.0, 0.3, 0.7, 1.0):
+            loss = float(build_loss(params, dims, profiles, lam)[1].value)
+            assert loss == pytest.approx(lam * stv + (1 - lam) * rgt, abs=1e-12)
 
     @pytest.mark.parametrize("n,m,kind,p_corr", [
         (2, 3, DistributionKind.UNCORRELATED, 0.0),
@@ -152,7 +160,8 @@ def pinned_loss_inputs(n, m, kind, p_corr, lam):
     profiles = sample_profiles(dist, 12, lane=1)
     batch = _Batch(profiles, dims)
     variants = _variant_inputs(batch.X, dims, misreport_tables(dims))
-    best_k, best_th = loss_minibatch(pinned_at, dims, profiles, lam).selection
+    best_k, best_th, _ = _search_defeating(pinned_at, dims, batch, variants,
+                                           net.forward_batch(pinned_at, dims, batch.X))
     X_def, ind_sel = _defeat_inputs(batch, dims, variants, best_k, best_th)
     r_t = net.forward_batch(params, dims, batch.X)
     r_d = net.forward_batch(params, dims, X_def.reshape(-1, X_def.shape[2]))
@@ -424,20 +433,23 @@ class TestTruthForward:
 
     def test_loss_unchanged_by_sharing(self):
         # the tape's truth values equal the plain forward's bit for bit,
-        # so the search picks the same reports either way
+        # so the search picks the same reports either way, and the loss is
+        # the one built at the plain forward's selection
         dims = NetworkDims(3, 3, R=2, J=8)
         params = init_params(dims, seed=2)
         profiles = sample_profiles(small_dist(3, 3, seed=4), 16)
         batch = _Batch(profiles, dims)
         tables = misreport_tables(dims)
+        _, loss, _ = _loss_from_batch(params, dims, batch, 0.4, tables)
         r_plain = net.forward_batch(params, dims, batch.X)
-        pinned = _search_defeating(params, dims, batch, _variant_inputs(batch.X, dims, tables),
-                                   r_plain)[:2]
-        build = loss_minibatch(params, dims, profiles, 0.4)
-        for got, expected in zip(build.selection, pinned):
-            assert np.array_equal(got, expected)
-        pinned_build = loss_minibatch(params, dims, profiles, 0.4, selection=pinned)
-        assert float(build.loss.value) == float(pinned_build.loss.value)
+        assert loss.parents[0].value.tobytes() == r_plain.tobytes()
+
+        variants = _variant_inputs(batch.X, dims, tables)
+        best_k, best_th, _ = _search_defeating(params, dims, batch, variants, r_plain)
+        X_def, ind_sel = _defeat_inputs(batch, dims, variants, best_k, best_th)
+        r_def = net.forward_batch(params, dims, X_def.reshape(-1, X_def.shape[2]))
+        _, (expected, _, _) = loss_node_at(batch, ind_sel, 0.4, r_plain, r_def)
+        assert float(loss.value) == float(expected.value)
 
 
 class TestTrainLoop:
@@ -601,14 +613,11 @@ class TestTrainLoop:
         config = small_config(iterations=60, eval_every=60, base_lr=0.005,
                               batch_size=8, lr_milestones=())
         result = train(config)
-        first = loss_minibatch(init_params(config.dims, seed=config.dist.seed),
-                               config.dims,
-                               sample_profiles(config.dist, 32, lane=HELDOUT_LANE),
-                               config.lam)
-        last = loss_minibatch(result.params, config.dims,
-                              sample_profiles(config.dist, 32, lane=HELDOUT_LANE),
-                              config.lam)
-        assert float(last.loss.value) < float(first.loss.value)
+        profiles = sample_profiles(config.dist, 32, lane=HELDOUT_LANE)
+        first = build_loss(init_params(config.dims, seed=config.dist.seed), config.dims,
+                           profiles, config.lam)[1]
+        last = build_loss(result.params, config.dims, profiles, config.lam)[1]
+        assert float(last.value) < float(first.value)
 
 
 DESK_LAMBDAS = (0.0, 0.3, 0.5, 0.8, 1.0)
