@@ -7,7 +7,7 @@ closed-form gradient, in `train`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,27 +72,24 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class OptimizerState:
-    """Adam with decoupled (multiplicative) weight decay.  Moments mirror
-    the parameter structure: per layer, a [weight, bias] list."""
+    """What an Adam step changes: the step count and the moments, which
+    mirror the parameter structure (per layer, a [weight, bias] list)."""
 
-    lr: float
-    weight_decay: float
-    t: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    t: int
+    m: list
+    v: list
 
     @classmethod
-    def for_params(cls, params, lr: float, weight_decay: float) -> "OptimizerState":
-        state = cls(lr=lr, weight_decay=weight_decay)
-        state.m = [[np.zeros_like(a) for a in group] for group in params]
-        state.v = [[np.zeros_like(a) for a in group] for group in params]
-        return state
+    def for_params(cls, params) -> "OptimizerState":
+        return cls(0, [[np.zeros_like(a) for a in group] for group in params],
+                   [[np.zeros_like(a) for a in group] for group in params])
 
 
-def adam_step(state: OptimizerState, params, grads):
-    """One bias-corrected Adam update; weight decay is applied directly to
-    the parameters, not folded into the gradients.  Returns the updated
-    parameter list; the state is updated in place."""
+def adam_step(state: OptimizerState, params, grads, lr: float, weight_decay: float):
+    """One bias-corrected Adam update at learning rate `lr`; the weight
+    decay is applied directly to the parameters, not folded into the
+    gradients.  Returns the updated parameter list; the state is updated
+    in place."""
     for group in grads:
         for g in group:
             if not np.all(np.isfinite(g)):
@@ -106,8 +103,8 @@ def adam_step(state: OptimizerState, params, grads):
         for j, (param, grad) in enumerate(zip(group, grad_group)):
             m = m_group[j] = ADAM_BETA1 * m_group[j] + (1.0 - ADAM_BETA1) * grad
             v = v_group[j] = ADAM_BETA2 * v_group[j] + (1.0 - ADAM_BETA2) * grad * grad
-            update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-            new_group.append(param * (1.0 - state.lr * state.weight_decay) - update)
+            update = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            new_group.append(param * (1.0 - lr * weight_decay) - update)
         new_params.append(tuple(new_group))
     return new_params, state
 

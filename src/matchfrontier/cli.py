@@ -21,8 +21,7 @@ from . import metrics, oracle
 from .autodiff import NumericError
 from .mechanisms import (LiftedMechanism, MechanismKind, bvn_decompose,
                          format_matching)
-from .net import (CheckpointError, NetworkDims, NetworkMechanism,
-                  NumericOverflowError, load_checkpoint)
+from .net import CheckpointError, NetworkMechanism, NumericOverflowError, load_checkpoint
 from .prefs import (DistributionConfig, DistributionKind, philox, read_profiles,
                     require_at_least, sample_profiles, write_profiles)
 from .train import HELDOUT_LANE, TrainConfig, train
@@ -139,15 +138,14 @@ def dist_from_settings(settings) -> DistributionConfig:
 
 
 def train_config_from_settings(settings, checkpoint_path, log_path="") -> TrainConfig:
-    dims = NetworkDims(n=settings["n"], m=settings["m"],
-                       R=settings["hidden_layers"], J=settings["hidden_units"])
     text = str(settings["lr_milestones"])
     try:
         milestones = tuple(int(x) for x in text.split(",") if x)
     except ValueError:
         raise ConfigError(f"lr_milestones must be comma-separated integers, "
                           f"got {text!r}") from None
-    return TrainConfig(lam=settings["lambda"], dims=dims,
+    return TrainConfig(lam=settings["lambda"], hidden_layers=settings["hidden_layers"],
+                       hidden_units=settings["hidden_units"],
                        dist=dist_from_settings(settings),
                        batch_size=settings["batch_size"],
                        iterations=settings["iterations"],
@@ -211,20 +209,17 @@ def cmd_gen(args) -> int:
 
     agents = [(o, dist.m) for p in profiles for o in p.workers] \
         + [(o, dist.n) for p in profiles for o in p.firms]
-    if agents:
-        truncated = sum(1 for o, _ in agents if o.unacceptable())
-        print(f"wrote {len(profiles)} profiles to {args.out}")
-        print(f"truncation fraction: {truncated / len(agents):.4f}")
-        for side_name, orders in (("worker", [p.workers for p in profiles]),
-                                  ("firm", [p.firms for p in profiles])):
-            flat = [o for group in orders for o in group]
-            counts = {}
-            for o in flat:
-                counts[o.ranking] = counts.get(o.ranking, 0) + 1
-            modal = max(counts.values())
-            print(f"{side_name} modal-order fraction: {modal / len(flat):.4f}")
-    else:
-        print(f"wrote 0 profiles to {args.out}")
+    truncated = sum(1 for o, _ in agents if o.unacceptable())
+    print(f"wrote {len(profiles)} profiles to {args.out}")
+    print(f"truncation fraction: {truncated / len(agents):.4f}")
+    for side_name, orders in (("worker", [p.workers for p in profiles]),
+                              ("firm", [p.firms for p in profiles])):
+        flat = [o for group in orders for o in group]
+        counts = {}
+        for o in flat:
+            counts[o.ranking] = counts.get(o.ranking, 0) + 1
+        modal = max(counts.values())
+        print(f"{side_name} modal-order fraction: {modal / len(flat):.4f}")
     return 0
 
 
@@ -273,13 +268,11 @@ SWEEP_POINTS_FAILED = 4
 
 
 def _stale_fields(settings, lam, dims, ckpt_lam, ckpt_seed) -> list:
-    """The checkpoint header fields (n, m, R, J, lambda, seed) that differ
-    from what the sweep's settings ask for at this lambda."""
-    header = {"n": dims.n, "m": dims.m, "R": dims.R, "J": dims.J,
+    """The checkpoint header's fields that differ from what the sweep's
+    settings ask for at this lambda, named by their settings keys."""
+    header = {"n": dims.n, "m": dims.m, "hidden_layers": dims.R, "hidden_units": dims.J,
               "lambda": ckpt_lam, "seed": ckpt_seed}
-    wanted = {"n": settings["n"], "m": settings["m"], "R": settings["hidden_layers"],
-              "J": settings["hidden_units"], "lambda": round(lam * 1e6) / 1e6,
-              "seed": settings["seed"]}
+    wanted = dict(settings, **{"lambda": round(lam * 1e6) / 1e6})
     # plain str: integers exactly, lambda as its shortest round-trip float
     return [f"{key}={header[key]} (settings: {wanted[key]})"
             for key in header if header[key] != wanted[key]]
@@ -287,7 +280,13 @@ def _stale_fields(settings, lam, dims, ckpt_lam, ckpt_seed) -> list:
 
 def cmd_sweep(args) -> int:
     settings = resolve_settings(args)
-    lambdas = [float(x) for x in args.lambdas.split(",") if x.strip() != ""]
+    lambdas = []
+    for text in filter(str.strip, args.lambdas.split(",")):
+        try:
+            lambdas.append(float(text))
+        except ValueError:
+            raise ConfigError(f"--lambdas entries must be numbers, got {text.strip()!r} "
+                              f"in {args.lambdas!r}") from None
     if not lambdas:
         raise ConfigError(f"--lambdas lists no lambda: {args.lambdas!r}")
     if any(not 0.0 <= lam <= 1.0 for lam in lambdas):
@@ -305,9 +304,12 @@ def cmd_sweep(args) -> int:
     for lam in lambdas:
         ckpt = os.path.join(args.out_dir, f"lambda_{fmt(lam)}.ckpt")
         if not os.path.exists(ckpt):
-            config = train_config_from_settings(dict(settings, **{"lambda": lam}), ckpt)
+            # trained under another name, so a run that fails leaves no ckpt to reuse
+            config = train_config_from_settings(dict(settings, **{"lambda": lam}),
+                                                ckpt + ".partial")
             # the sweep reports on a shared held-out set afterwards; skip per-run eval
             train(replace(config, test_size=0))
+            os.replace(config.checkpoint_path, ckpt)
 
     dist = dist_from_settings(settings)
     heldout = sample_profiles(dist, settings["test_size"], lane=HELDOUT_LANE)

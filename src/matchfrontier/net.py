@@ -249,40 +249,38 @@ def _first_nonfinite_layer(params, x: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 # Misreport tables and variant inputs
 
-@dataclass(frozen=True)
-class _MisreportTable:
-    orders: tuple        # K PreferenceOrder
-    rows: np.ndarray     # (K, size) encoded utility rows
-
-
-def misreport_tables(dims: NetworkDims):
-    """The (worker, firm) misreport tables of a market.  Reports that accept
+@functools.cache
+def misreport_tables(n: int, m: int) -> tuple:
+    """A worker's and a firm's misreports in an n x m market as encoded
+    utility rows, (Kw, m) and (Kf, n), read-only.  Reports that accept
     nobody are left out: they zero the agent's marginals, so never gain."""
     tables = []
-    for side, size in ((Side.WORKER, dims.m), (Side.FIRM, dims.n)):
-        orders = tuple(o for o in enumerate_misreports(side, size) if o.acceptable())
-        tables.append(_MisreportTable(orders, encode_ranks(*rank_arrays(orders, size), size)))
+    for side, size in ((Side.WORKER, m), (Side.FIRM, n)):
+        orders = [o for o in enumerate_misreports(side, size) if o.acceptable()]
+        tables.append(encode_ranks(*rank_arrays(orders, size), size))
+        tables[-1].flags.writeable = False
     return tuple(tables)
 
 
 def _variant_inputs(X: np.ndarray, dims: NetworkDims, tables):
     """Inputs for every (profile, agent, misreport) combination
     of the truthful inputs X (B, 2nm), grouped profile-major, worker agents
-    before firm agents, plus the table sizes (Kw, Kf) that locate a row."""
+    before firm agents, plus the table sizes (Kw, Kf) that locate a row.
+    `tables` is a worker's and a firm's report rows, as `misreport_tables`."""
     n, m = dims.n, dims.m
     B = X.shape[0]
     table_w, table_f = tables
-    Kw, Kf = len(table_w.orders), len(table_f.orders)
+    Kw, Kf = len(table_w), len(table_f)
     per_profile = n * Kw + m * Kf
     nm = n * m
 
     Xv = np.repeat(X, per_profile, axis=0).reshape(B, per_profile, 2 * nm)
     for w in range(n):
-        Xv[:, w * Kw:(w + 1) * Kw, w * m:(w + 1) * m] = table_w.rows[None, :, :]
+        Xv[:, w * Kw:(w + 1) * Kw, w * m:(w + 1) * m] = table_w[None, :, :]
     q_idx = nm + np.arange(n) * m
     for f in range(m):
         rows = slice(n * Kw + f * Kf, n * Kw + (f + 1) * Kf)
-        Xv[:, rows, :][:, :, q_idx + f] = table_f.rows[None, :, :]
+        Xv[:, rows, :][:, :, q_idx + f] = table_f[None, :, :]
     return Xv.reshape(-1, 2 * nm), (Kw, Kf)
 
 
@@ -315,7 +313,7 @@ class NetworkMechanism:
         n, m = self.dims.n, self.dims.m
         X = network_input(P, Q, self.dims)
         r = forward_batch(self.params, self.dims, X)
-        Xv, sizes = _variant_inputs(X, self.dims, misreport_tables(self.dims))
+        Xv, sizes = _variant_inputs(X, self.dims, misreport_tables(n, m))
         r_var = forward_batch(self.params, self.dims, Xv).reshape(len(X), -1, n, m)
         return r, r_var, sizes
 

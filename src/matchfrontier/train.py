@@ -29,9 +29,11 @@ HELDOUT_LANE = 2
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Every field is required: the defaults live in cli's settings table."""
+    """Every field is required: the defaults live in cli's settings table,
+    each of whose keys sets exactly one field, here or in `dist`."""
     lam: float
-    dims: NetworkDims
+    hidden_layers: int
+    hidden_units: int
     dist: DistributionConfig
     batch_size: int
     iterations: int
@@ -50,9 +52,15 @@ class TrainConfig:
             value = getattr(self, key)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{key} must be finite and at least 0, got {value}")
+        if self.lr_milestones and min(self.lr_milestones) < 0:
+            raise ValueError(f"lr_milestones must be at least 0, got {min(self.lr_milestones)}")
         # 0 is valid: no iterations, the last one the only eval point, no held-out set
         require_at_least(self, 0, "iterations", "eval_every", "test_size")
-        require_at_least(self, 1, "batch_size")
+        require_at_least(self, 1, "batch_size", "hidden_layers", "hidden_units")
+
+    @property
+    def dims(self) -> NetworkDims:
+        return NetworkDims(self.dist.n, self.dist.m, self.hidden_layers, self.hidden_units)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +159,7 @@ def _loss_node(r_t, r_d, batch: _Batch, ind_sel, lam: float):
     return loss, float(stv), float(rgt)
 
 
-def _loss_from_batch(params, dims: NetworkDims, batch: _Batch, lam: float, tables):
+def _loss_from_batch(params, dims: NetworkDims, batch: _Batch, lam: float):
     """The loss on a batch as (tape, loss, param_nodes), its defeating
     reports searched at the current parameters."""
     tape = Tape()
@@ -159,7 +167,7 @@ def _loss_from_batch(params, dims: NetworkDims, batch: _Batch, lam: float, table
     # the one truth forward: the search reads the tape node's values, which
     # are _forward_rows' own, so forward_batch's for up to net._FORWARD_PART rows
     r_t = _forward_tape(tape, param_nodes, dims, batch.X)
-    variants = _variant_inputs(batch.X, dims, tables)
+    variants = _variant_inputs(batch.X, dims, misreport_tables(dims.n, dims.m))
     best_k, best_th, _ = _search_defeating(params, dims, batch, variants, r_t.value)
     X_def, ind_sel = _defeat_inputs(batch, dims, variants, best_k, best_th)
     r_d = _forward_tape(tape, param_nodes, dims, X_def.reshape(-1, X_def.shape[2]))
@@ -189,10 +197,8 @@ def train(config: TrainConfig, progress=None) -> TrainResult:
     iterations checkpoints its initial parameters).  A numeric failure
     aborts with the last good checkpoint on disk."""
     dims, dist = config.dims, config.dist
-    tables = misreport_tables(dims)
     params = init_params(dims, seed=dist.seed)
-    state = OptimizerState.for_params(params, lr=config.base_lr,
-                                      weight_decay=config.weight_decay)
+    state = OptimizerState.for_params(params)
     heldout = sample_profiles(dist, config.test_size, lane=HELDOUT_LANE) \
         if config.test_size > 0 else None
 
@@ -213,16 +219,16 @@ def train(config: TrainConfig, progress=None) -> TrainResult:
 
     stv = rgt = math.nan
     for it in range(config.iterations):
-        state.lr = lr_schedule(config.base_lr, it, config.lr_milestones)
+        lr = lr_schedule(config.base_lr, it, config.lr_milestones)
         profiles = [sample_profile(dist, profile_stream(dist.seed, it * config.batch_size + j,
                                                         lane=TRAIN_LANE))
                     for j in range(config.batch_size)]
         try:
             tape, loss, param_nodes = _loss_from_batch(params, dims, _Batch(profiles, dims),
-                                                       config.lam, tables)
+                                                       config.lam)
             backward(tape, loss)
             grads = [(w.grad, b.grad) for w, b in param_nodes]
-            params, state = adam_step(state, params, grads)
+            params, state = adam_step(state, params, grads, lr, config.weight_decay)
             # nodes and tape reference each other; break the cycle so the
             # iteration's activations and gradients are freed now, not at
             # the next full garbage collection
@@ -238,7 +244,7 @@ def train(config: TrainConfig, progress=None) -> TrainResult:
                 stv, rgt = _heldout_stv_rgt(params, dims, heldout)
             mean_loss = float(np.mean(loss_window))
             loss_window = []
-            log.append((done, mean_loss, stv, rgt, state.lr))
+            log.append((done, mean_loss, stv, rgt, lr))
             write_log()
             checkpoint()
             if progress:

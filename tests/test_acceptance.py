@@ -235,13 +235,13 @@ class TestAcceptance:
             profiles = sample_profiles(cfg, 2)
             lam = (draw % 5) / 4.0
             params = init_params(dims, seed=900 + draw)
-            batch, tables = _Batch(profiles, dims), misreport_tables(dims)
-            tape, loss, param_nodes = _loss_from_batch(params, dims, batch, lam, tables)
+            batch = _Batch(profiles, dims)
+            tape, loss, param_nodes = _loss_from_batch(params, dims, batch, lam)
             backward(tape, loss)
             grads = [tuple(p.grad for p in group) for group in param_nodes]
             # pin the defeating-report selection: the loss differentiates
             # through the marginals only, never through the argmax
-            variants = _variant_inputs(batch.X, dims, tables)
+            variants = _variant_inputs(batch.X, dims, misreport_tables(2, 2))
             best_k, best_th, _ = _search_defeating(params, dims, batch, variants,
                                                    forward_batch(params, dims, batch.X))
             X_def, ind_sel = _defeat_inputs(batch, dims, variants, best_k, best_th)

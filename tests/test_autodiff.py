@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -53,31 +55,43 @@ def reference_adamw(params, grads, m, v, t, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
 
 class TestOptimizer:
     def test_matches_reference(self):
+        # the learning rate and decay are each step's arguments: the
+        # schedule's halving lands between steps 3 and 4
         rng = np.random.default_rng(4)
         params = [(rng.normal(size=(3, 2)), rng.normal(size=2))]
-        state = OptimizerState.for_params(params, lr=0.01, weight_decay=0.02)
+        state = OptimizerState.for_params(params)
         ref_m = [np.zeros((3, 2)), np.zeros(2)]
         ref_v = [np.zeros((3, 2)), np.zeros(2)]
         ref = [params[0][0].copy(), params[0][1].copy()]
         for t in range(1, 6):
+            lr = lr_schedule(0.01, t, (4,))
             grads = [(rng.normal(size=(3, 2)), rng.normal(size=2))]
-            params, state = adam_step(state, params, grads)
-            ref = reference_adamw(ref, list(grads[0]), ref_m, ref_v, t, 0.01, 0.02)
+            params, state = adam_step(state, params, grads, lr, 0.02)
+            ref = reference_adamw(ref, list(grads[0]), ref_m, ref_v, t, lr, 0.02)
         assert np.allclose(params[0][0], ref[0], atol=1e-12)
         assert np.allclose(params[0][1], ref[1], atol=1e-12)
 
+    def test_state_is_step_and_moments(self):
+        params = [(np.ones((2, 2)), np.ones(2))]
+        state = OptimizerState.for_params(params)
+        assert [f.name for f in dataclasses.fields(OptimizerState)] == ["t", "m", "v"]
+        assert state.t == 0
+        for moments in (state.m, state.v):
+            assert [[a.shape for a in group] for group in moments] == [[(2, 2), (2,)]]
+            assert not any(np.any(a) for group in moments for a in group)
+
     def test_nonfinite_gradient_raises(self):
         params = [(np.ones((2, 2)), np.ones(2))]
-        state = OptimizerState.for_params(params, lr=0.01, weight_decay=0.01)
+        state = OptimizerState.for_params(params)
         grads = [(np.full((2, 2), np.nan), np.zeros(2))]
         with pytest.raises(NumericError):
-            adam_step(state, params, grads)
+            adam_step(state, params, grads, 0.01, 0.01)
 
     def test_params_unchanged_on_failure(self):
         params = [(np.ones((2, 2)), np.ones(2))]
-        state = OptimizerState.for_params(params, lr=0.01, weight_decay=0.01)
+        state = OptimizerState.for_params(params)
         try:
-            adam_step(state, params, [(np.full((2, 2), np.inf), np.zeros(2))])
+            adam_step(state, params, [(np.full((2, 2), np.inf), np.zeros(2))], 0.01, 0.01)
         except NumericError:
             pass
         assert np.array_equal(params[0][0], np.ones((2, 2)))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 import matchfrontier
 from matchfrontier import cli, metrics, prefs
+from matchfrontier.autodiff import NumericError
 from matchfrontier.mechanisms import LiftedMechanism, MechanismKind, parse_matching
 from matchfrontier.net import NetworkDims, init_params, save_checkpoint
 from matchfrontier.prefs import (DistributionConfig, DistributionKind, encode_arrays,
@@ -355,6 +357,7 @@ class TestSettingsRange:
         ("iterations = 8", "iterations = -3"), ("eval_every = 4", "eval_every = -1"),
         ("test_size = 8", "test_size = -5"), ("batch_size = 4", "batch_size = 0"),
         ("n = 2", "n = 0"), ("m = 2", "m = 0"),
+        ("hidden_layers = 2", "hidden_layers = 0"), ("hidden_units = 6", "hidden_units = 0"),
     ])
     def test_train_rejects(self, tmp_path, old, new, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -382,6 +385,16 @@ class TestSettingsRange:
         assert f"error: {line.split()[0]} must be finite and at least 0" in captured.err
         assert "iter" not in captured.out
         assert not ckpt.exists() and not log.exists()
+
+    @pytest.mark.parametrize("text,bad", [("-5", -5), ("4,-1", -1)])
+    def test_train_rejects_negative_milestone(self, tmp_path, text, bad, capsys):
+        # a negative milestone once halved base_lr from the first iteration
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CFG + f"lr_milestones = {text}\n")
+        ckpt = tmp_path / "run.ckpt"
+        assert cli.main(["train", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 1
+        assert f"error: lr_milestones must be at least 0, got {bad}" in capsys.readouterr().err
+        assert not ckpt.exists()
 
     def test_train_rejects_negative_iterations_flag(self, tmp_path, capsys):
         ckpt = tmp_path / "neg.ckpt"
@@ -411,6 +424,51 @@ class TestSettingsRange:
                          "--out-dir", str(out_dir)]) == 1
         assert "error: sweep needs test_size of at least 1" in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+def config_leaves(settings) -> dict:
+    """The TrainConfig that `train` builds from these settings, as its
+    fields with `dist` expanded into its own."""
+    config = cli.train_config_from_settings(settings, "run.ckpt", "run.log")
+    leaves = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+    dist = leaves.pop("dist")
+    leaves.update({f"dist.{f.name}": getattr(dist, f.name) for f in dataclasses.fields(dist)})
+    return leaves
+
+
+class TestSettingsTable:
+    def test_each_key_sets_one_leaf(self):
+        # from the paper-correlated preset, where p_corr is live: changing
+        # one settings key changes exactly one leaf, a different one per key
+        base = {**cli._DEFAULTS, **cli.PRESETS["paper-correlated"]}
+        before = config_leaves(base)
+        changed = {int: lambda v: v + 1, float: lambda v: v / 2,
+                   str: lambda v: v + ",40000"}
+        owner = {}
+        for key, value_type in cli._CONFIG_KEYS.items():
+            if key == "kind":
+                continue
+            after = config_leaves(dict(base, **{key: changed[value_type](base[key])}))
+            moved = [leaf for leaf in before if after[leaf] != before[leaf]]
+            assert len(moved) == 1, (key, moved)
+            owner[moved[0]] = key
+        assert len(owner) == len(cli._CONFIG_KEYS) - 1
+        assert set(before) - set(owner) == {"dist.kind", "checkpoint_path", "log_path"}
+
+    def test_kind_zeroes_p_corr(self):
+        base = {**cli._DEFAULTS, **cli.PRESETS["paper-correlated"]}
+        before = config_leaves(base)
+        after = config_leaves(dict(base, kind="uncorrelated"))
+        assert {leaf for leaf in before if after[leaf] != before[leaf]} \
+            == {"dist.kind", "dist.p_corr"}
+        assert after["dist.kind"] is DistributionKind.UNCORRELATED
+        assert after["dist.p_corr"] == 0.0
+
+    def test_network_shape_read_from_dist(self):
+        settings = {**cli._DEFAULTS, **cli.PRESETS["desk"]}
+        config = cli.train_config_from_settings(settings, "")
+        assert "dims" not in {f.name for f in dataclasses.fields(config)}
+        assert config.dims == NetworkDims(3, 3, R=4, J=64)
 
 
 class TestTrainCommand:
@@ -470,7 +528,8 @@ class TestSweep:
     @pytest.mark.parametrize("lambdas,message", [
         (",", "--lambdas lists no lambda"), ("", "--lambdas lists no lambda"),
         ("0.5,0.50", "--lambdas repeats 0.5"), ("0,1,0.0,1", "--lambdas repeats 0, 1"),
-    ], ids=["comma", "empty", "0.5-twice", "two-repeats"])
+        ("0.5,abc", "--lambdas entries must be numbers, got 'abc' in '0.5,abc'"),
+    ], ids=["comma", "empty", "0.5-twice", "two-repeats", "not-a-number"])
     def test_lambda_list_rejected(self, tmp_path, tiny_cfg, capsys, lambdas, message):
         # checked before any training: the output directory is never made
         out_dir = tmp_path / "s"
@@ -503,9 +562,12 @@ class TestSweep:
             labels = [r[0] for r in list(csv.reader(fh))[1:]]
         assert labels == ["wda", "fda", "rsd", "da-best"]
 
-    @pytest.mark.parametrize("field,line", [("seed", "seed = 99"), ("n", "n = 3")],
-                             ids=["seed", "n"])
-    def test_stale_checkpoint_refused(self, tmp_path, tiny_cfg, capsys, field, line):
+    @pytest.mark.parametrize("line,stale", [
+        ("seed = 99", "seed=3 (settings: 99)"), ("n = 3", "n=2 (settings: 3)"),
+        ("hidden_layers = 1", "hidden_layers=2 (settings: 1)"),
+        ("hidden_units = 5", "hidden_units=6 (settings: 5)"),
+    ], ids=["seed", "n", "hidden_layers", "hidden_units"])
+    def test_stale_checkpoint_refused(self, tmp_path, tiny_cfg, capsys, line, stale):
         out_dir = tmp_path / "sweep"
         assert cli.main(["sweep", "--config", tiny_cfg, "--lambdas", "0",
                         "--out-dir", str(out_dir)]) == 0
@@ -517,7 +579,9 @@ class TestSweep:
         assert cli.main(["sweep", "--config", str(changed), "--lambdas", "0",
                         "--out-dir", str(out_dir)]) == cli.SWEEP_POINTS_FAILED
         assert (ckpt.read_bytes(), ckpt.stat().st_mtime_ns) == before
-        assert f"{field}=" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert stale in err
+        assert err.count("(settings: ") == 1
         with open(out_dir / "frontier.csv") as fh:
             labels = [r[0] for r in list(csv.reader(fh))[1:]]
         assert labels == ["wda", "fda", "rsd", "da-best"]
@@ -536,6 +600,39 @@ class TestSweep:
                          "--seed", "12345678901234568",
                          "--out-dir", str(out_dir)]) == cli.SWEEP_POINTS_FAILED
         assert stale in capsys.readouterr().err
+
+    def test_failed_training_leaves_no_checkpoint(self, tmp_path, tiny_cfg, monkeypatch):
+        # the run checkpoints at iteration 2, then fails at step 3: the
+        # half-trained network stays a .partial file, and a rerun retrains
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(TINY_CFG.replace("iterations = 8", "iterations = 4")
+                       .replace("eval_every = 4", "eval_every = 2"))
+        train_module = sys.modules["matchfrontier.train"]
+        steps = []
+        adam_step = train_module.adam_step
+
+        def counted(fail_at):
+            def step(*args):
+                steps.append(1)
+                if len(steps) == fail_at:
+                    raise NumericError("injected")
+                return adam_step(*args)
+            return step
+
+        monkeypatch.setattr(train_module, "adam_step", counted(3))
+        out_dir, clean_dir = tmp_path / "sweep", tmp_path / "clean"
+        command = ["sweep", "--config", str(cfg), "--lambdas", "0.5", "--out-dir"]
+        assert cli.main(command + [str(out_dir)]) == 2
+        assert not (out_dir / "lambda_0.5.ckpt").exists()
+        assert (out_dir / "lambda_0.5.ckpt.partial").exists()
+        steps.clear()
+        monkeypatch.setattr(train_module, "adam_step", counted(0))
+        assert cli.main(command + [str(out_dir)]) == 0
+        assert len(steps) == 4
+        assert not (out_dir / "lambda_0.5.ckpt.partial").exists()
+        assert cli.main(command + [str(clean_dir)]) == 0
+        assert (out_dir / "lambda_0.5.ckpt").read_bytes() \
+            == (clean_dir / "lambda_0.5.ckpt").read_bytes()
 
     def test_checkpoints_reused(self, tmp_path, tiny_cfg):
         out_dir = tmp_path / "sweep"

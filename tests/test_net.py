@@ -338,7 +338,7 @@ class TestForwardSplit:
         dist = DistributionConfig(DistributionKind.CORRELATED, 4, 4, p_corr=0.25,
                                   p_trunc=0.2, seed=3)
         P, Q, _ = encode_arrays(sample_profiles(dist, 2), 4, 4)
-        Xv, _ = _variant_inputs(network_input(P, Q, dims), dims, misreport_tables(dims))
+        Xv, _ = _variant_inputs(network_input(P, Q, dims), dims, misreport_tables(4, 4))
         assert Xv.shape[0] == 1_536
         params = init_params(dims, seed=5)
         expected = net._forward_rows(params, dims, Xv)

@@ -32,8 +32,7 @@ def small_dist(n=2, m=2, seed=7, p_trunc=0.3):
 
 
 def small_config(lam=0.4, seed=7, **overrides):
-    dims = NetworkDims(2, 2, R=2, J=6)
-    base = TrainConfig(lam=lam, dims=dims, dist=small_dist(seed=seed),
+    base = TrainConfig(lam=lam, hidden_layers=2, hidden_units=6, dist=small_dist(seed=seed),
                        batch_size=4, iterations=6, base_lr=0.002,
                        lr_milestones=(4,), weight_decay=0.01, eval_every=3,
                        test_size=8, checkpoint_path="", log_path="")
@@ -42,7 +41,7 @@ def small_config(lam=0.4, seed=7, **overrides):
 
 def build_loss(params, dims, profiles, lam):
     """_loss_from_batch's (tape, loss, param_nodes) on a batch of profiles."""
-    return _loss_from_batch(params, dims, _Batch(profiles, dims), lam, misreport_tables(dims))
+    return _loss_from_batch(params, dims, _Batch(profiles, dims), lam)
 
 
 class TestLossGradient:
@@ -80,7 +79,7 @@ class TestLossGradient:
         profiles = sample_profiles(small_dist(), 3, lane=1)
         batch = _Batch(profiles, dims)
         r_truth = net.forward_batch(params, dims, batch.X)
-        variants = _variant_inputs(batch.X, dims, misreport_tables(dims))
+        variants = _variant_inputs(batch.X, dims, misreport_tables(dims.n, dims.m))
         gains = _search_defeating(params, dims, batch, variants, r_truth)[2]
         stv = metrics.stv_batch(r_truth, batch.P, batch.Q).mean()
         rgt = (gains * metrics.side_weights(2, 2)).sum(axis=1).mean()
@@ -159,7 +158,7 @@ def pinned_loss_inputs(n, m, kind, p_corr, lam):
               for w, b in pinned_at]
     profiles = sample_profiles(dist, 12, lane=1)
     batch = _Batch(profiles, dims)
-    variants = _variant_inputs(batch.X, dims, misreport_tables(dims))
+    variants = _variant_inputs(batch.X, dims, misreport_tables(dims.n, dims.m))
     best_k, best_th, _ = _search_defeating(pinned_at, dims, batch, variants,
                                            net.forward_batch(pinned_at, dims, batch.X))
     X_def, ind_sel = _defeat_inputs(batch, dims, variants, best_k, best_th)
@@ -245,10 +244,10 @@ def reference_defeat_inputs(batch, dims, tables, best_k, best_th):
             ind_sel[b, a] = batch.ind[b, a, best_th[b, a]]
             if a < n:
                 w = a
-                X_def[b, a, w * m:(w + 1) * m] = table_w.rows[k]
+                X_def[b, a, w * m:(w + 1) * m] = table_w[k]
             else:
                 f = a - n
-                X_def[b, a, n * m + np.arange(n) * m + f] = table_f.rows[k]
+                X_def[b, a, n * m + np.arange(n) * m + f] = table_f[k]
     return X_def, ind_sel
 
 
@@ -260,14 +259,14 @@ class TestDefeatInputs:
         profiles = sample_profiles(dist, 32)
         dims = NetworkDims(n, m, R=2, J=8)
         batch = _Batch(profiles, dims)
-        tables = misreport_tables(dims)
+        tables = misreport_tables(n, m)
         params = init_params(dims, seed=3)
         r_truth = net.forward_batch(params, dims, batch.X)
         variants = _variant_inputs(batch.X, dims, tables)
         searched = _search_defeating(params, dims, batch, variants, r_truth)[:2]
         # a random selection also reaches misreports the search never picks
         rng = np.random.default_rng(5)
-        sizes = np.array([len(tables[0].orders)] * n + [len(tables[1].orders)] * m)
+        sizes = np.array([len(tables[0])] * n + [len(tables[1])] * m)
         random_k = np.floor(rng.random((32, n + m)) * (sizes + 1)).astype(np.int64) - 1
         random_th = rng.integers(0, max(n, m), size=(32, n + m))
         for best_k, best_th in (searched, (random_k, random_th)):
@@ -283,7 +282,7 @@ def search(params, dims, profiles):
     """_search_defeating's (best_k, best_gain) on a batch of profiles."""
     batch = _Batch(profiles, dims)
     r_truth = net.forward_batch(params, dims, batch.X)
-    variants = _variant_inputs(batch.X, dims, misreport_tables(dims))
+    variants = _variant_inputs(batch.X, dims, misreport_tables(dims.n, dims.m))
     best_k, _, best_gain = _search_defeating(params, dims, batch, variants, r_truth)
     return best_k, best_gain
 
@@ -311,20 +310,22 @@ class TestDefeatingSearch:
         assert best_gain[0, 0] == 0.0
 
 
-def full_tables(dims):
-    """Misreport tables over all (size+1)! orders, the ones no partner is
-    acceptable in included: the reference the pruned tables must match."""
-    tables = []
-    for side, size in ((Side.WORKER, dims.m), (Side.FIRM, dims.n)):
-        orders = enumerate_misreports(side, size)
-        rows = encode_ranks(*rank_arrays(orders, size), size)
-        tables.append(net._MisreportTable(tuple(orders), rows))
-    return tuple(tables)
+def full_orders(n, m):
+    """A worker's and a firm's (size+1)! misreport orders, the ones no
+    partner is acceptable in included."""
+    return enumerate_misreports(Side.WORKER, m), enumerate_misreports(Side.FIRM, n)
 
 
-def kept(table):
+def full_tables(n, m):
+    """The encoded rows of full_orders: the reference the pruned tables
+    must match."""
+    return tuple(encode_ranks(*rank_arrays(orders, size), size)
+                 for orders, size in zip(full_orders(n, m), (m, n)))
+
+
+def kept(orders):
     """Indices of the orders with at least one acceptable partner."""
-    return np.array([k for k, order in enumerate(table.orders) if order.acceptable()])
+    return np.array([k for k, order in enumerate(orders) if order.acceptable()])
 
 
 MARKETS = [(3, 3), (4, 4), (2, 3), (3, 2)]
@@ -333,12 +334,16 @@ MARKETS = [(3, 3), (4, 4), (2, 3), (3, 2)]
 class TestPrunedTables:
     @pytest.mark.parametrize("n,m", MARKETS)
     def test_orders_with_an_acceptable_partner(self, n, m):
-        dims = NetworkDims(n, m, R=2, J=8)
-        for table, full, size in zip(misreport_tables(dims), full_tables(dims), (m, n)):
-            keep = kept(full)
-            assert table.orders == tuple(full.orders[k] for k in keep)
-            assert len(table.orders) == math.factorial(size + 1) - math.factorial(size)
-            assert table.rows.tobytes() == full.rows[keep].tobytes()
+        tables = misreport_tables(n, m)
+        for table, again, orders, full, size in zip(tables, misreport_tables(n, m),
+                                                    full_orders(n, m), full_tables(n, m),
+                                                    (m, n)):
+            assert again is table  # built once per market
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+            assert len(table) == math.factorial(size + 1) - math.factorial(size)
+            assert table.tobytes() == full[kept(orders)].tobytes()
 
     @pytest.mark.parametrize("n,m", MARKETS)
     def test_unacceptable_report_has_zero_marginals(self, n, m):
@@ -348,13 +353,13 @@ class TestPrunedTables:
         dist = DistributionConfig(DistributionKind.UNCORRELATED, n, m, p_trunc=0.5, seed=17)
         B = 8
         batch = _Batch(sample_profiles(dist, B), dims)
-        table_w, table_f = tables = full_tables(dims)
-        Xv, (Kw, Kf) = _variant_inputs(batch.X, dims, tables)
-        assert (Kw, Kf) == (len(table_w.orders), len(table_f.orders))
+        orders_w, orders_f = full_orders(n, m)
+        Xv, (Kw, Kf) = _variant_inputs(batch.X, dims, full_tables(n, m))
+        assert (Kw, Kf) == (len(orders_w), len(orders_f))
         r = net.forward_batch(init_params(dims, seed=2), dims, Xv)
         r = r.reshape(B, n * Kw + m * Kf, n, m)
-        empty_w = np.setdiff1d(np.arange(Kw), kept(table_w))
-        empty_f = np.setdiff1d(np.arange(Kf), kept(table_f))
+        empty_w = np.setdiff1d(np.arange(Kw), kept(orders_w))
+        empty_f = np.setdiff1d(np.arange(Kf), kept(orders_f))
         assert len(empty_w) == math.factorial(m) and len(empty_f) == math.factorial(n)
         for w in range(n):
             assert np.all(r[:, w * Kw + empty_w, w, :] == 0.0)
@@ -370,17 +375,16 @@ class TestPrunedTables:
         batch = _Batch(sample_profiles(dist, 16), dims)
         params = [(3.0 * w, b) for w, b in init_params(dims, seed=n + m)]
         r_truth = net.forward_batch(params, dims, batch.X)
-        full = full_tables(dims)
         full_k, full_th, full_gain = _search_defeating(
-            params, dims, batch, _variant_inputs(batch.X, dims, full), r_truth)
+            params, dims, batch, _variant_inputs(batch.X, dims, full_tables(n, m)), r_truth)
         best_k, best_th, best_gain = _search_defeating(
-            params, dims, batch, _variant_inputs(batch.X, dims, misreport_tables(dims)), r_truth)
+            params, dims, batch, _variant_inputs(batch.X, dims, misreport_tables(n, m)), r_truth)
         assert (best_k >= 0).any()
         assert best_gain.tobytes() == full_gain.tobytes()
         assert np.array_equal(best_th, full_th)
-        for agents, table in ((slice(0, n), full[0]), (slice(n, n + m), full[1])):
+        for agents, orders in zip((slice(0, n), slice(n, n + m)), full_orders(n, m)):
             k = best_k[:, agents]
-            mapped = np.where(k >= 0, kept(table)[np.maximum(k, 0)], -1)
+            mapped = np.where(k >= 0, kept(orders)[np.maximum(k, 0)], -1)
             assert np.array_equal(mapped, full_k[:, agents])
 
 
@@ -393,7 +397,7 @@ class TestForwardChunks:
         config = traincache.desk_config(0.5, 1)
         dims = config.dims
         batch = _Batch(sample_profiles(config.dist, config.batch_size, lane=1), dims)
-        Xv, _ = _variant_inputs(batch.X, dims, misreport_tables(dims))
+        Xv, _ = _variant_inputs(batch.X, dims, misreport_tables(dims.n, dims.m))
         assert Xv.shape[0] == 13_824
         params = init_params(dims, seed=1)
         whole = net._forward_rows(params, dims, Xv).tobytes()
@@ -439,12 +443,11 @@ class TestTruthForward:
         params = init_params(dims, seed=2)
         profiles = sample_profiles(small_dist(3, 3, seed=4), 16)
         batch = _Batch(profiles, dims)
-        tables = misreport_tables(dims)
-        _, loss, _ = _loss_from_batch(params, dims, batch, 0.4, tables)
+        _, loss, _ = _loss_from_batch(params, dims, batch, 0.4)
         r_plain = net.forward_batch(params, dims, batch.X)
         assert loss.parents[0].value.tobytes() == r_plain.tobytes()
 
-        variants = _variant_inputs(batch.X, dims, tables)
+        variants = _variant_inputs(batch.X, dims, misreport_tables(3, 3))
         best_k, best_th, _ = _search_defeating(params, dims, batch, variants, r_plain)
         X_def, ind_sel = _defeat_inputs(batch, dims, variants, best_k, best_th)
         r_def = net.forward_batch(params, dims, X_def.reshape(-1, X_def.shape[2]))
@@ -478,7 +481,7 @@ class TestTrainLoop:
     def test_heldout_is_mean_of_pass_arrays(self):
         # training's held-out numbers are np.mean of the learned per-profile
         # arrays that metrics.evaluate sums in profile order
-        config = small_config(dims=NetworkDims(3, 3, R=2, J=6), dist=small_dist(3, 3),
+        config = small_config(dist=small_dist(3, 3),
                               iterations=2, eval_every=2, test_size=140)
         result = train(config)
         heldout = sample_profiles(config.dist, config.test_size, lane=HELDOUT_LANE)
@@ -672,3 +675,12 @@ class TestTrainCache:
         # a cached checkpoint is reused without a word
         assert traincache.ensure_checkpoint(0.5, 1) == path
         assert len(trained) == 1 and capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("names,runs", [([], traincache.ACCEPTANCE_RUNS),
+                                            (["desk_s2_l1"], [(1.0, 2)])],
+                             ids=["all-nine", "named"])
+    def test_check_runs_named_or_all(self, monkeypatch, names, runs):
+        checked = []
+        monkeypatch.setattr(traincache, "check_runs", lambda runs: checked.append(runs) or 0)
+        assert traincache.main(["--check", *names]) == 0
+        assert checked == [runs]

@@ -16,7 +16,8 @@ runs before it starts.
 `python3 tests/traincache.py --check desk_s1_l0 desk_s1_l0.5` instead
 retrains the named runs into a temporary directory and compares their
 checkpoint and log byte for byte with the cached ones; it exits non-zero
-on any difference and never writes to the cache.
+on any difference and never writes to the cache.  `--check` with no run
+names checks all nine.
 
 `python3 tests/traincache.py --reports OUT.json` writes every EvalReport
 field of the nine cached runs, each on its seed's desk held-out set, and
@@ -163,8 +164,9 @@ def compare_reports(path_a: str, path_b: str) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", nargs="+", metavar="RUN",
-                        help="retrain these runs and compare with the cache")
+    parser.add_argument("--check", nargs="*", metavar="RUN",
+                        help="retrain these runs (all nine when none is named) "
+                             "and compare with the cache")
     parser.add_argument("--reports", metavar="OUT.json",
                         help="write the EvalReports of the cached runs and baselines")
     parser.add_argument("--compare", nargs=2, metavar=("A.json", "B.json"),
@@ -180,9 +182,9 @@ def main(argv=None) -> int:
             json.dump(reports, fh, indent=1)
         print(f"wrote {len(reports)} reports to {args.reports}")
         return 0
-    if args.check:
+    if args.check is not None:
         try:
-            runs = [parse_run_name(name) for name in args.check]
+            runs = [parse_run_name(name) for name in args.check] or ACCEPTANCE_RUNS
         except ValueError as err:
             print(err, file=sys.stderr)
             return 2
